@@ -23,6 +23,7 @@ from .stability import (
     verify_pair,
 )
 from .tautilting import (
+    EnumerationError,
     c_matrix,
     enumerate_exchange_graph,
     g_matrix,
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_TRUNCATED = 2
 EXIT_VIOLATION = 3
+
+
+class _WriteError(Exception):
+    """The ``-o`` path could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,9 +80,12 @@ def _is_prime(p: int) -> bool:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def _probes_for(graph, min_count: int = 8):
@@ -198,13 +206,19 @@ def cmd_verify(q, args) -> int:
 
 
 def cmd_fan(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
-    fan = build_fan(graph, prime=args.prime, seed=args.seed)
     fmt = args.format or "json"
+    if fmt == "svg" and q.n != 3:
+        sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
+        return EXIT_INPUT
+    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
+    try:
+        fan = build_fan(graph, prime=args.prime, seed=args.seed)
+    except EnumerationError as exc:
+        if graph.complete:
+            raise
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_TRUNCATED
     if fmt == "svg":
-        if q.n != 3:
-            sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
-            return EXIT_INPUT
         _emit(emit_svg_stereographic(fan), args.output)
     else:
         _emit(emit_fan_json(fan), args.output)
@@ -228,7 +242,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read {args.file}: {exc}\n")
         return EXIT_INPUT
     try:
@@ -238,7 +252,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     handler = {"info": cmd_info, "enumerate": cmd_enumerate, "verify": cmd_verify,
                "fan": cmd_fan, "graph": cmd_graph}[args.command]
-    return handler(q, args)
+    try:
+        return handler(q, args)
+    except _WriteError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

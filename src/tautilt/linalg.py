@@ -252,10 +252,6 @@ def as_int_matrix(a: np.ndarray) -> list[list[int]]:
     return out
 
 
-def from_int_matrix(rows: list[list[int]]) -> np.ndarray:
-    return mat(rows)
-
-
 def min_poly(a: np.ndarray) -> list[Fraction]:
     """Coefficients (low to high degree, monic) of the minimal polynomial."""
     n = a.shape[0]

@@ -248,18 +248,6 @@ def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:
     return Representation(q, dims, maps, check=False)
 
 
-def summand_inclusion(q: BoundQuiver, reps: list[Representation], k: int,
-                      total: Representation) -> ModuleMap:
-    vm = []
-    for v in range(q.n):
-        before = sum(r.dims[v] for r in reps[:k])
-        m = linalg.zeros(total.dims[v], reps[k].dims[v])
-        for r in range(reps[k].dims[v]):
-            m[before + r, r] = Fraction(1)
-        vm.append(m)
-    return ModuleMap(reps[k], total, vm, check=False)
-
-
 # ----------------------------------------------------------------------
 # Hom spaces
 # ----------------------------------------------------------------------
@@ -382,11 +370,6 @@ def sub_from_bases(ambient: Representation,
     return _sub_representation(ambient, reduced)
 
 
-def quotient_by(ambient: Representation,
-                sub_incl: ModuleMap) -> tuple[Representation, ModuleMap]:
-    return cokernel(sub_incl)
-
-
 # ----------------------------------------------------------------------
 # radical, top, traces
 # ----------------------------------------------------------------------
@@ -500,8 +483,8 @@ def _presentation_path_data(pres: ProjectivePresentation):
     """Entries of P1 -> P0 as path combinations (one per summand pair)."""
     q = pres.p0.algebra
     entries: list[list[Combo]] = []
-    src_offsets = _block_offsets(q, pres.p1_vertices)
-    tgt_offsets = _block_offsets(q, pres.p0_vertices)
+    src_offsets = _block_offsets([projective(q, i) for i in pres.p1_vertices])
+    tgt_offsets = _block_offsets([projective(q, i) for i in pres.p0_vertices])
     for r, t in enumerate(pres.p0_vertices):
         row: list[Combo] = []
         for c, s in enumerate(pres.p1_vertices):
@@ -522,26 +505,13 @@ def _presentation_path_data(pres: ProjectivePresentation):
     return entries
 
 
-def _block_offsets(q: BoundQuiver, vertices: tuple[int, ...]) -> list[list[int]]:
-    """For a direct sum of projectives: block start per summand and vertex."""
+def _block_offsets(summands: list[Representation]) -> list[list[int]]:
+    """Block start per summand and vertex in the direct sum of ``summands``."""
     offsets = []
-    running = [0] * q.n
-    for i in vertices:
-        offsets.append(list(running))
-        p = projective(q, i)
-        for v in range(q.n):
-            running[v] += p.dims[v]
-    return offsets
-
-
-def _injective_block_offsets(q: BoundQuiver, vertices: tuple[int, ...]) -> list[list[int]]:
-    offsets = []
-    running = [0] * q.n
-    for i in vertices:
-        offsets.append(list(running))
-        inj = injective(q, i)
-        for v in range(q.n):
-            running[v] += inj.dims[v]
+    running = [0] * len(summands[0].dims) if summands else []
+    for rep in summands:
+        offsets.append(running)
+        running = [r + d for r, d in zip(running, rep.dims)]
     return offsets
 
 
@@ -560,10 +530,10 @@ def nakayama_on_map(q: BoundQuiver, source_vertices: tuple[int, ...],
             for p in entries[r][c]:
                 if p[0] != t or q.path_target(p) != s:
                     raise ValueError("entry is not a map between the stated projectives")
-    src = direct_sum(q, [injective(q, i) for i in source_vertices])
-    tgt = direct_sum(q, [injective(q, i) for i in target_vertices])
-    src_off = _injective_block_offsets(q, source_vertices)
-    tgt_off = _injective_block_offsets(q, target_vertices)
+    src_summands = [injective(q, i) for i in source_vertices]
+    tgt_summands = [injective(q, i) for i in target_vertices]
+    src, tgt = direct_sum(q, src_summands), direct_sum(q, tgt_summands)
+    src_off, tgt_off = _block_offsets(src_summands), _block_offsets(tgt_summands)
     vm = [linalg.zeros(tgt.dims[v], src.dims[v]) for v in range(q.n)]
     for r, t in enumerate(target_vertices):
         for c, s in enumerate(source_vertices):
@@ -639,85 +609,15 @@ class Approximation:
     summands: tuple[Representation, ...]
 
 
-def factors_through(g: ModuleMap, f: ModuleMap) -> bool:
-    """Is there h with f . h = g?  (g: U -> X, f: N' -> X.)"""
-    return _lifting_exists(g, f, right=True)
-
-
-def cofactors_through(g: ModuleMap, f: ModuleMap) -> bool:
-    """Is there h with h . f = g?  (g: X -> U, f: X -> N'.)"""
-    return _lifting_exists(g, f, right=False)
-
-
-def _lifting_exists(g: ModuleMap, f: ModuleMap, right: bool) -> bool:
-    q = g.source.algebra
-    if right:
-        h_src, h_tgt = g.source, f.source
-    else:
-        h_src, h_tgt = f.target, g.target
-    offsets = []
-    total = 0
-    for v in range(q.n):
-        offsets.append(total)
-        total += h_tgt.dims[v] * h_src.dims[v]
-    rows = []
-    rhs_rows = []
-    # intertwining constraints for h
-    for a in q.arrows:
-        i, j = a.source - 1, a.target - 1
-        na, ma = h_tgt.arrow_maps[a.name], h_src.arrow_maps[a.name]
-        si = h_src.dims[i]
-        sj = h_src.dims[j]
-        for r in range(h_tgt.dims[j]):
-            for c in range(si):
-                row = linalg.zeros(1, total)
-                for k in range(h_tgt.dims[i]):
-                    row[0, offsets[i] + k * si + c] += na[r, k]
-                for k in range(sj):
-                    row[0, offsets[j] + r * sj + k] -= ma[k, c]
-                if not linalg.is_zero(row):
-                    rows.append(row)
-                    rhs_rows.append(linalg.zeros(1, 1))
-    # composition constraints
-    for v in range(q.n):
-        sv = h_src.dims[v]
-        if right:
-            # f_v @ h_v = g_v
-            fv, gv = f.vertex_maps[v], g.vertex_maps[v]
-            for r in range(gv.shape[0]):
-                for c in range(gv.shape[1]):
-                    row = linalg.zeros(1, total)
-                    for k in range(h_tgt.dims[v]):
-                        row[0, offsets[v] + k * sv + c] += fv[r, k]
-                    rows.append(row)
-                    rhs = linalg.zeros(1, 1)
-                    rhs[0, 0] = gv[r, c]
-                    rhs_rows.append(rhs)
-        else:
-            # h_v @ f_v = g_v
-            fv, gv = f.vertex_maps[v], g.vertex_maps[v]
-            for r in range(gv.shape[0]):
-                for c in range(gv.shape[1]):
-                    row = linalg.zeros(1, total)
-                    for k in range(sv):
-                        row[0, offsets[v] + r * sv + k] += fv[k, c]
-                    rows.append(row)
-                    rhs = linalg.zeros(1, 1)
-                    rhs[0, 0] = gv[r, c]
-                    rhs_rows.append(rhs)
-    system = linalg.vstack(rows, total)
-    rhs = linalg.vstack(rhs_rows, 1)
-    if system.shape[0] == 0:
-        return True
-    return linalg.solve(system, rhs) is not None
-
-
 def minimal_right_approximation(n, x: Representation, seed: int = 0) -> Approximation:
     """Minimal right add(N)-approximation of X.
 
     ``n`` may be a representation (decomposed internally) or a list of
-    indecomposable summands.  Every map N -> X factors through the result;
-    copies are pruned greedily until none can be dropped.
+    indecomposable summands.  Every map N -> X factors through the result.
+    Copies ``f_k: u_k -> X`` form a right approximation exactly when, for
+    every summand type U, the composites ``f_k . h`` with ``h`` in
+    ``hom_basis(U, u_k)`` span Hom(U, X); copies are pruned greedily, last
+    first, while that span criterion still holds.
     """
     summand_types = _as_summand_list(n, x.algebra, seed)
     copies: list[tuple[Representation, ModuleMap]] = []
@@ -728,7 +628,12 @@ def minimal_right_approximation(n, x: Representation, seed: int = 0) -> Approxim
 
 
 def minimal_left_approximation(x: Representation, n, seed: int = 0) -> Approximation:
-    """Minimal left add(N)-approximation of X; every map X -> N cofactors."""
+    """Minimal left add(N)-approximation of X; every map X -> N cofactors.
+
+    Dual span criterion: copies ``f_k: X -> u_k`` form a left approximation
+    exactly when, for every summand type U, the composites ``h . f_k`` with
+    ``h`` in ``hom_basis(u_k, U)`` span Hom(X, U).
+    """
     summand_types = _as_summand_list(n, x.algebra, seed)
     copies: list[tuple[Representation, ModuleMap]] = []
     for u in summand_types:
@@ -761,32 +666,34 @@ def _assemble_approx(copies, x: Representation, right: bool) -> ModuleMap:
     return ModuleMap(x, bundle, vm, check=False)
 
 
-def _is_approximation(f: ModuleMap, summand_types, x: Representation, right: bool) -> bool:
+def _is_approximation(copies, summand_types, x: Representation, right: bool) -> bool:
+    """Does every map between X and a summand type factor through the copies?
+
+    Hom(U, (+) u_k) = (+) Hom(U, u_k), so the maps U -> X that factor
+    through the bundle are spanned by the composites ``f_k . h`` with ``h``
+    in ``hom_basis(U, u_k)``; they must span Hom(U, X).  Dually on the left.
+    """
     for u in summand_types:
         if right:
-            for g in hom_basis(u, x):
-                if not factors_through(g, f):
-                    return False
+            want = hom_dim(u, x)
+            cols = [f.compose(h).vectorize() for uk, f in copies for h in hom_basis(u, uk)]
         else:
-            for g in hom_basis(x, u):
-                if not cofactors_through(g, f):
-                    return False
+            want = hom_dim(x, u)
+            cols = [h.compose(f).vectorize() for uk, f in copies for h in hom_basis(uk, u)]
+        if want and linalg.rank(linalg.hstack(cols, 0)) < want:
+            return False
     return True
 
 
 def _prune_approximation(copies, summand_types, x: Representation,
                          right: bool) -> Approximation:
+    # One pass from the last copy down suffices: a copy that cannot be
+    # dropped from a set cannot be dropped from any subset of it either.
     current = list(copies)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(current) - 1, -1, -1):
-            trial = current[:k] + current[k + 1:]
-            f = _assemble_approx(trial, x, right)
-            if _is_approximation(f, summand_types, x, right):
-                current = trial
-                changed = True
-                break
+    for k in range(len(current) - 1, -1, -1):
+        trial = current[:k] + current[k + 1:]
+        if _is_approximation(trial, summand_types, x, right):
+            current = trial
     final = _assemble_approx(current, x, right)
     return Approximation(final, tuple(u for (u, _f) in current))
 
@@ -888,21 +795,17 @@ def _end_structure(endos: list[ModuleMap]) -> tuple[list[np.ndarray], np.ndarray
     return structure, linalg.nullspace(gram)
 
 
-def _end_radical_dim(endos: list[ModuleMap]) -> tuple[int, list[ModuleMap]]:
-    """Dimension of rad End and a basis of it."""
-    _, rad_cols = _end_structure(endos)
-    rad_basis = []
-    for c in range(rad_cols.shape[1]):
-        vm = None
-        for k in range(len(endos)):
-            coef = rad_cols[k, c]
-            if coef == 0:
-                continue
-            term = [mm * coef for mm in endos[k].vertex_maps]
-            vm = term if vm is None else [a + b for a, b in zip(vm, term)]
-        if vm is not None:
-            rad_basis.append(ModuleMap(endos[0].source, endos[0].source, vm, check=False))
-    return rad_cols.shape[1], rad_basis
+def _random_coefficients(rng: random.Random, k: int) -> list[Fraction]:
+    """``k`` seeded coefficients in [-9, 9], drawn in order."""
+    return [Fraction(rng.randint(-9, 9)) for _ in range(k)]
+
+
+def _combination(maps: list[ModuleMap], coefs) -> list[np.ndarray]:
+    """Vertex matrices of the sum of ``c * f``; the maps share source and target."""
+    vm = [mm * coefs[0] for mm in maps[0].vertex_maps]
+    for f, c in zip(maps[1:], coefs[1:]):
+        vm = [a + mm * c for a, mm in zip(vm, f.vertex_maps)]
+    return vm
 
 
 def _end_quotient_is_field(endos: list[ModuleMap], rng: random.Random) -> bool:
@@ -926,9 +829,7 @@ def _end_quotient_is_field(endos: list[ModuleMap], rng: random.Random) -> bool:
                 return False  # non-commutative quotient: no certificate here
     sect = linalg.right_inverse(proj)
     for _ in range(8):
-        coords = linalg.zeros(d, 1)
-        for k in range(d):
-            coords[k, 0] = Fraction(rng.randint(-9, 9))
+        coords = linalg.mat([[c] for c in _random_coefficients(rng, d)])
         lbar = proj @ _left_mult_matrix(coords, structure, d) @ sect
         poly = linalg.min_poly(lbar)
         if len(poly) - 1 != semis_dim:
@@ -954,8 +855,9 @@ def end_radical_basis(m: Representation) -> list[ModuleMap]:
     endos = hom_basis(m, m)
     if len(endos) <= 1:
         return []
-    _, rad = _end_radical_dim(endos)
-    return rad
+    _, rad_cols = _end_structure(endos)
+    return [ModuleMap(m, m, _combination(endos, rad_cols[:, c]), check=False)
+            for c in range(rad_cols.shape[1])]
 
 
 def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
@@ -990,11 +892,7 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
         trials.append(e.compose(f))
     rng = _derived_rng(seed, m)
     for _ in range(32):
-        vm = None
-        for e in endos:
-            coef = Fraction(rng.randint(-9, 9))
-            term = [mm * coef for mm in e.vertex_maps]
-            vm = term if vm is None else [a + b for a, b in zip(vm, term)]
+        vm = _combination(endos, _random_coefficients(rng, len(endos)))
         trials.append(ModuleMap(m, m, vm, check=False))
     for phi in trials:
         parts = _try_split(m, phi)
@@ -1003,7 +901,7 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
             for part in parts:
                 out.extend(_decompose_rec(part, seed))
             return out
-    rad_dim, _ = _end_radical_dim(endos)
+    rad_dim = _end_structure(endos)[1].shape[1]
     if len(endos) - rad_dim == 1:
         return [m]
     if _end_quotient_is_field(endos, _derived_rng(seed + 1, m)):
@@ -1037,11 +935,7 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
         return False
     rng = _derived_rng(seed, m, n)
     for _ in range(8):
-        vm = None
-        for f in maps:
-            coef = Fraction(rng.randint(-9, 9))
-            term = [mm * coef for mm in f.vertex_maps]
-            vm = term if vm is None else [a + b for a, b in zip(vm, term)]
+        vm = _combination(maps, _random_coefficients(rng, len(maps)))
         if all(m.dims[v] == 0 or linalg.det(vm[v]) != 0 for v in range(m.algebra.n)):
             return True
     return _is_isomorphic_symbolic(m, n, maps)

@@ -138,6 +138,53 @@ def test_parse_error_exit(tmp_path, capsys):
     assert code == 1
 
 
+def run_cli_err(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_non_utf8_file_exit(tmp_path, capsys):
+    f = tmp_path / "bad.alg"
+    f.write_bytes(b"\xff\xfe")
+    code, _out, err = run_cli_err([str(f), "info"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unwritable_output_exit(a3_rel_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli_err([a3_rel_file, "info", "-o", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_fan_truncated_graph_exit(tmp_path, capsys):
+    f = tmp_path / "kron.alg"
+    f.write_text("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    code, out, err = run_cli_err([str(f), "fan", "--max-nodes", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_fan_truncated_graph_with_output(a3_rel_file, capsys):
+    # a truncated graph whose almost pairs all have both completions still
+    # builds a fan: exit 2 together with the partial output
+    code, out, err = run_cli_err([a3_rel_file, "fan", "--max-nodes", "4"], capsys)
+    assert code == 2 and err == ""
+    assert json.loads(out)["version"] == 1
+
+
+def test_fan_svg_rank_checked_before_enumeration(loop_file, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the rank check")
+    monkeypatch.setattr("tautilt.cli.enumerate_exchange_graph", no_enumeration)
+    code, _out, err = run_cli_err([loop_file, "fan", "--format", "svg"], capsys)
+    assert code == 1
+    assert "rank-3" in err
+
+
 def test_bad_prime(a3_rel_file, capsys):
     code, _ = run_cli([a3_rel_file, "verify", "--prime", "4"], capsys)
     assert code == 1
