@@ -227,7 +227,14 @@ def cmd_fan(q, args) -> int:
 
 def cmd_graph(q, args) -> int:
     graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
-    _emit(emit_dot(graph, seed=args.seed), args.output)
+    try:
+        dot = emit_dot(graph, seed=args.seed)
+    except EnumerationError as exc:
+        if graph.complete:
+            raise
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_TRUNCATED
+    _emit(dot, args.output)
     return EXIT_OK if graph.complete else EXIT_TRUNCATED
 
 

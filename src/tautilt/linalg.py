@@ -3,11 +3,21 @@
 Every matrix handled here is a 2-d ``numpy.ndarray`` with ``dtype=object``
 whose entries are :class:`fractions.Fraction` (plain ints are accepted and
 normalised).  No floating point is used anywhere; all pivoting is exact.
+
+``rref``, ``rank``, ``nullspace``, ``column_space``, ``solve`` and
+``inverse`` share one kernel, :func:`_eliminate`: sparse rows (``{col:
+value}`` of the nonzeros) scaled to integers and reduced by fraction-free
+Gauss-Jordan elimination, dividing by the pivots only when the output is
+built.  The reduced row-echelon form is unique, so the pivots and every
+output entry equal those of a dense Fraction elimination.
+``nullspace_of_rows`` takes such rows directly, so sparse systems (the Hom
+intertwiner equations) are never built densely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,69 +68,124 @@ def equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
 
 
+def _rows_of(a: np.ndarray) -> list[dict]:
+    """The nonzero entries of each row of ``a`` as ``{col: value}``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a.tolist()]
+
+
+def _eliminate(rows: list[dict]) -> tuple[list[int], list[dict]]:
+    """Fraction-free Gauss-Jordan elimination of sparse rational rows.
+
+    Each row is scaled to coprime ints by the lcm of its denominators; a
+    row is cleared at a column with ``r <- (pv/g)*r - (f/g)*pivot_row`` and
+    divided by the gcd of its entries, so no Fraction is formed (Bareiss,
+    Math. Comp. 1968).  Returns the pivot columns in increasing order and
+    one int row per pivot, zero in every other pivot column; dividing row i
+    by its entry at ``pivots[i]`` gives row i of the RREF.  The RREF is
+    unique, so the pivot row chosen at each column (the sparsest) does not
+    change the result.
+    """
+    work = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        ints = {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
+        if ints:
+            work.append(_primitive(ints))
+    pivots: list[int] = []
+    done: list[dict] = []
+    for col in sorted({c for row in work for c in row}):
+        candidates = [row for row in work if col in row]
+        if not candidates:
+            continue
+        pivot = min(candidates, key=len)
+        pv = pivot[col]
+        kept = []
+        for row in work:
+            if row is pivot:
+                continue
+            if col in row:
+                row = _clear(row, pivot, col, pv)
+                if not row:
+                    continue
+            kept.append(row)
+        work = kept
+        done = [_clear(row, pivot, col, pv) if col in row else row for row in done]
+        pivots.append(col)
+        done.append(pivot)
+    return pivots, done
+
+
+def _clear(row: dict, pivot: dict, col: int, pv: int) -> dict:
+    """``row`` with its entry at ``col`` eliminated against ``pivot``."""
+    f = row[col]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, x in pivot.items():
+        y = out.get(c, 0) - b * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g != 1 else row
+
+
+def _rational_rows(pivots: list[int], done: list[dict]) -> list[dict]:
+    return [{c: Fraction(x, row[p]) for c, x in row.items()}
+            for p, row in zip(pivots, done)]
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form.
 
     Returns the RREF matrix and the list of pivot column indices.
     """
-    r = a.copy()
-    m, n = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot = None
-        for i in range(row, m):
-            if r[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        inv = Fraction(1) / Fraction(r[row, col])
-        for j in range(col, n):
-            r[row, j] = Fraction(r[row, j]) * inv
-        for i in range(m):
-            if i != row and r[i, col] != 0:
-                f = r[i, col]
-                for j in range(col, n):
-                    r[i, j] = r[i, j] - f * r[row, j]
-        pivots.append(col)
-        row += 1
+    m, n = a.shape
+    pivots, done = _eliminate(_rows_of(a))
+    r = zeros(m, n)
+    for i, row in enumerate(_rational_rows(pivots, done)):
+        for c, x in row.items():
+            r[i, c] = x
     return r, pivots
 
 
 def rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a)[1])
+    return len(_eliminate(_rows_of(a))[0])
 
 
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Basis of the right kernel, returned as the columns of an n x k matrix."""
-    m, n = a.shape
-    if n == 0:
-        return zeros(0, 0)
-    if m == 0:
-        return eye(n)
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
+    return nullspace_of_rows(_rows_of(a), a.shape[1])
+
+
+def nullspace_of_rows(rows: list[dict], n: int) -> np.ndarray:
+    """Right kernel of the n-column matrix whose rows are given sparsely.
+
+    Each row is ``{col: value}``; absent columns are zero.  The basis is
+    the one :func:`nullspace` returns for the dense matrix, column by column.
+    """
+    pivots, done = _eliminate(rows)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    k_of = {j: k for k, j in enumerate(free)}
     basis = zeros(n, len(free))
     for k, j in enumerate(free):
         basis[j, k] = Fraction(1)
-        for i, p in enumerate(pivots):
-            basis[p, k] = -r[i, j]
+    for p, row in zip(pivots, _rational_rows(pivots, done)):
+        for c, x in row.items():
+            if c != p:
+                basis[p, k_of[c]] = -x
     return basis
 
 
 def column_space(a: np.ndarray) -> np.ndarray:
     """Basis of the column space: the pivot columns of ``a`` (m x r matrix)."""
-    m, n = a.shape
-    if n == 0 or m == 0:
-        return zeros(m, 0)
-    _, pivots = rref(a)
+    pivots, _ = _eliminate(_rows_of(a))
     return a[:, pivots].copy()
 
 
@@ -134,16 +199,16 @@ def solve(a: np.ndarray, b: np.ndarray):
     mb, k = b.shape
     if mb != m:
         raise ValueError("shape mismatch in solve")
-    aug = zeros(m, n + k)
-    aug[:, :n] = a
-    aug[:, n:] = b
-    r, pivots = rref(aug)
-    if any(p >= n for p in pivots):
+    rows = [{**ra, **{n + j: x for j, x in rb.items()}}
+            for ra, rb in zip(_rows_of(a), _rows_of(b))]
+    pivots, done = _eliminate(rows)
+    if pivots and pivots[-1] >= n:
         return None
     x = zeros(n, k)
-    for i, p in enumerate(pivots):
-        for j in range(k):
-            x[p, j] = r[i, n + j]
+    for p, row in zip(pivots, _rational_rows(pivots, done)):
+        for c, v in row.items():
+            if c >= n:
+                x[p, c - n] = v
     return x
 
 
@@ -151,8 +216,8 @@ def inverse(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of a non-square matrix")
-    x = solve(a, eye(n))
-    if x is None or rank(a) != n:
+    x = solve(a, eye(n))  # A X = I has no solution when A is singular
+    if x is None:
         raise ValueError("matrix is singular")
     return x
 

@@ -270,33 +270,30 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     if total == 0:
         q._hom_cache[key] = []
         return []
-    rows = []
+    rows = []  # one sparse {unknown: coefficient} row per entry of N_a X_i - X_j M_a
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
-        na, ma = n.arrow_maps[a.name], m.arrow_maps[a.name]
+        na, ma = n.arrow_maps[a.name].tolist(), m.arrow_maps[a.name].tolist()
         si, sj = m.dims[i], m.dims[j]
-        ti, tj = n.dims[i], n.dims[j]
-        for r in range(tj):
+        for r, na_r in enumerate(na):
             for c in range(si):
-                row = linalg.zeros(1, total)
-                for k in range(ti):
-                    row[0, offsets[i] + k * si + c] += na[r, k]
+                row = {offsets[i] + k * si + c: x for k, x in enumerate(na_r) if x}
                 for k in range(sj):
-                    row[0, offsets[j] + r * sj + k] -= ma[k, c]
-                if not linalg.is_zero(row):
+                    x = ma[k][c]
+                    if x:
+                        col = offsets[j] + r * sj + k
+                        y = row.get(col, 0) - x
+                        if y:
+                            row[col] = y
+                        else:
+                            del row[col]
+                if row:
                     rows.append(row)
-    system = linalg.vstack(rows, total)
-    basis_cols = linalg.nullspace(system)
+    basis_cols = linalg.nullspace_of_rows(rows, total)
     out = []
     for b in range(basis_cols.shape[1]):
-        vm = []
-        for v in range(nv):
-            mvt, mvs = n.dims[v], m.dims[v]
-            block = linalg.zeros(mvt, mvs)
-            for r in range(mvt):
-                for c in range(mvs):
-                    block[r, c] = basis_cols[offsets[v] + r * mvs + c, b]
-            vm.append(block)
+        vm = [basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b]
+              .reshape(n.dims[v], m.dims[v]).copy() for v in range(nv)]
         out.append(ModuleMap(m, n, vm, check=False))
     q._hom_cache[key] = out
     return out

@@ -23,13 +23,13 @@ from .modules import (
     decompose,
     direct_sum,
     g_vector,
+    hom_basis,
     hom_dim,
     is_isomorphic,
     is_projective_rep,
     minimal_left_approximation,
     projective,
     tau,
-    trace,
 )
 
 
@@ -208,10 +208,12 @@ def slot_mutates_down(pair: TauPair, r: int) -> bool:
     kind, payload = pair.slots()[r]
     if kind == "p":
         return False
-    rest = [x for x in pair.m_parts if x is not payload]
-    rest_sum = direct_sum(pair.algebra, rest)
-    t, _ = trace(rest_sum, payload)
-    return t.dims != payload.dims
+    # Hom(sum of rest, X) is the direct sum of the cached Hom(x, X), so the
+    # trace is spanned vertexwise by the images of their bases; the images
+    # may overlap, hence a rank test and never a sum of dimensions
+    maps = [f for x in pair.m_parts if x is not payload for f in hom_basis(x, payload)]
+    return any(linalg.rank(linalg.hstack([f.vertex_maps[v] for f in maps], d)) != d
+               for v, d in enumerate(payload.dims))
 
 
 def mutate_down(pair: TauPair, r: int, seed: int = 0,

@@ -176,6 +176,22 @@ def test_fan_truncated_graph_with_output(a3_rel_file, capsys):
     assert json.loads(out)["version"] == 1
 
 
+def test_graph_truncated_exit(tmp_path, capsys):
+    # the truncated A4 graph has an almost pair with one completion, so no
+    # DOT can be emitted: a typed exit, not an escaped EnumerationError
+    f = tmp_path / "a4.alg"
+    f.write_text("vertices 4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n")
+    code, out, err = run_cli_err([str(f), "graph", "--max-nodes", "20"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_graph_truncated_with_output(a3_rel_file, capsys):
+    code, out, err = run_cli_err([a3_rel_file, "graph", "--max-nodes", "4"], capsys)
+    assert code == 2 and err == ""
+    assert out.startswith("digraph")
+
+
 def test_fan_svg_rank_checked_before_enumeration(loop_file, capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the rank check")

@@ -22,6 +22,72 @@ def small_matrices(max_dim=4):
                     lambda rows: _build(m, n, rows))))
 
 
+def sparse_matrices(max_rows=12, max_cols=14):
+    """Mostly-zero matrices with small denominators, zero rows and columns
+    included, down to 0 x n and m x 0."""
+    nonzero = st.builds(Fraction, st.integers(min_value=-9, max_value=9).filter(bool),
+                        st.integers(min_value=1, max_value=4))
+
+    @st.composite
+    def build(draw):
+        m = draw(st.integers(min_value=0, max_value=max_rows))
+        n = draw(st.integers(min_value=0, max_value=max_cols))
+        cells = [(i, j) for i in range(m) for j in range(n)]
+        filled = draw(st.lists(st.sampled_from(cells), unique=True,
+                               max_size=3 * len(cells) // 10)) if cells else []
+        out = linalg.zeros(m, n)
+        for i, j in filled:
+            out[i, j] = draw(nonzero)
+        return out
+
+    return build()
+
+
+def _reference_rref(a):
+    """The dense Fraction Gauss-Jordan loop linalg.rref replaced, kept as
+    the reference the sparse kernel must reproduce."""
+    r = a.copy()
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        pivot = None
+        for i in range(row, m):
+            if r[i, col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != row:
+            r[[row, pivot]] = r[[pivot, row]]
+        inv = Fraction(1) / Fraction(r[row, col])
+        for j in range(col, n):
+            r[row, j] = Fraction(r[row, j]) * inv
+        for i in range(m):
+            if i != row and r[i, col] != 0:
+                f = r[i, col]
+                for j in range(col, n):
+                    r[i, j] = r[i, j] - f * r[row, j]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def _reference_nullspace(a):
+    """The kernel basis the replaced dense nullspace built from the RREF."""
+    n = a.shape[1]
+    r, pivots = _reference_rref(a)
+    free = [j for j in range(n) if j not in pivots]
+    basis = linalg.zeros(n, len(free))
+    for k, j in enumerate(free):
+        basis[j, k] = Fraction(1)
+        for i, p in enumerate(pivots):
+            basis[p, k] = -r[i, j]
+    return basis
+
+
 def _build(m, n, rows):
     out = linalg.zeros(m, n)
     for i, row in enumerate(rows):
@@ -87,6 +153,32 @@ def test_quotient_projection():
     proj = linalg.quotient_projection(sub, 2)
     assert proj.shape == (1, 2)
     assert linalg.is_zero(proj @ sub)
+
+
+def test_sparse_kernel_edge_shapes():
+    for m, n in [(0, 0), (0, 3), (3, 0)]:
+        r, pivots = linalg.rref(linalg.zeros(m, n))
+        assert r.shape == (m, n) and pivots == []
+    assert linalg.equal(linalg.nullspace(linalg.zeros(0, 2)), linalg.eye(2))
+    assert linalg.nullspace_of_rows([], 0).shape == (0, 0)
+    assert linalg.equal(linalg.nullspace_of_rows([{}, {1: 0}], 2), linalg.eye(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_reference(a):
+    r, pivots = linalg.rref(a)
+    ref, ref_pivots = _reference_rref(a)
+    assert pivots == ref_pivots
+    assert r.shape == ref.shape
+    assert all(x == y for x, y in zip(r.flat, ref.flat))
+    rows = [{j: a[i, j] for j in range(a.shape[1]) if a[i, j] != 0}
+            for i in range(a.shape[0])]
+    sparse = linalg.nullspace_of_rows(rows, a.shape[1])
+    dense = linalg.nullspace(a)
+    ref_null = _reference_nullspace(a)
+    assert sparse.shape == dense.shape == ref_null.shape
+    assert all(x == y == z for x, y, z in zip(sparse.flat, dense.flat, ref_null.flat))
 
 
 @settings(max_examples=60, deadline=None)
