@@ -56,10 +56,6 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
-def copy(a: np.ndarray) -> np.ndarray:
-    return a.copy()
-
-
 def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 

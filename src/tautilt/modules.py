@@ -75,12 +75,6 @@ class Representation:
             m = self.arrow_maps[name] @ m
         return m
 
-    def combo_action(self, combo: Combo, source: int, target: int) -> np.ndarray:
-        acc = linalg.zeros(self.dims[target - 1], self.dims[source - 1])
-        for p, c in combo.items():
-            acc = acc + self.path_action(p) * c
-        return acc
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -400,6 +394,17 @@ def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleM
     return _sub_representation(x, bases)
 
 
+def _in_fac(parts: list[Representation], x: Representation) -> bool:
+    """X lies in Fac of the direct sum of the parts.
+
+    Hom(sum of parts, X) is the direct sum of the cached Hom(part, X), so the
+    trace is spanned vertexwise by the images of their bases; the images may
+    overlap, hence a rank test and never a sum of dimensions."""
+    maps = [f for part in parts for f in hom_basis(part, x)]
+    return all(linalg.rank(linalg.hstack([f.vertex_maps[v] for f in maps], d)) == d
+               for v, d in enumerate(x.dims))
+
+
 # ----------------------------------------------------------------------
 # presentations, g-vectors, tau
 # ----------------------------------------------------------------------
@@ -438,8 +443,11 @@ def _projective_cover_data(m: Representation):
     for v in range(q.n):
         cols = []
         for (i, gen) in zip(vertices, generators):
-            for p in q.basis_by_pair.get((i, v + 1), []):
-                cols.append(m.path_action(p) @ gen)
+            for _src, names in q.basis_by_pair.get((i, v + 1), []):
+                col = gen
+                for name in names:
+                    col = m.arrow_maps[name] @ col
+                cols.append(col)
         vm.append(linalg.hstack(cols, m.dims[v]))
     cover = ModuleMap(p0, m, vm, check=False)
     return tuple(vertices), p0, cover

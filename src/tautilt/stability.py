@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .modules import (
     Representation,
+    _in_fac,
     cokernel,
     decompose,
     direct_sum,
@@ -38,7 +39,7 @@ from .tautilting import (
     TauPair,
     TheoremViolationError,
     c_matrix,
-    complete_almost_pair,
+    enumerate_exchange_graph,
     g_matrix,
     remove_summand,
     sign_coherence,
@@ -259,18 +260,16 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
         raise ValueError("bricks are attached to pairs with n summands")
     q = pair.algebra
     almost = remove_summand(pair, r)
-    rest = list(almost.m_parts)
     if slot_mutates_down(pair, r):
         exchanged = pair.slots()[r][1]
     else:
-        larger, _smaller = complete_almost_pair(almost, graph=graph, seed=seed)
-        extras = [x for x in larger.m_parts
-                  if not any(x is y or is_isomorphic(x, y, seed=seed) for y in rest)]
-        if len(extras) != 1:
-            raise TheoremViolationError(
-                f"larger completion differs in {len(extras)} module slots")
-        exchanged = extras[0]
-    approx = minimal_right_approximation(rest, exchanged, seed=seed)
+        # the exchanged summand of the Fac-larger completion, read off the
+        # edge that joins the two completions
+        if graph is None:
+            graph = enumerate_exchange_graph(q, seed=seed)
+        e = graph.completion_edge(almost)
+        exchanged = graph.nodes[e.src].slots()[e.slot][1]
+    approx = minimal_right_approximation(list(almost.m_parts), exchanged, seed=seed)
     generator, _ = cokernel(approx.map)
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
@@ -373,9 +372,7 @@ def slate_for_node(graph: ExchangeGraph, idx: int, seed: int = 0) -> BrickSlate:
 
 def fac_contains(pair: TauPair, x: Representation) -> bool:
     """X lies in Fac M iff the trace of M in X is all of X."""
-    m = pair.module()
-    t, _ = trace(m, x)
-    return t.dims == x.dims
+    return _in_fac(list(pair.m_parts), x)
 
 
 @dataclass(frozen=True)
@@ -542,7 +539,6 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes,
         report["witnesses"].append({"check": "theta_pairing"})
 
     ok_sinfac = True
-    m_sum = pair.module()
     for r in range(q.n):
         b = slate.bricks[r]
         if slate.d_diagonal[r] == 1:
@@ -551,7 +547,7 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes,
                 report["witnesses"].append({"check": "positive_brick_in_fac",
                                             "slot": r, "brick": list(b.dims)})
         else:
-            if hom_dim(m_sum, b) != 0:
+            if any(hom_dim(m, b) for m in pair.m_parts):
                 ok_sinfac = False
                 report["witnesses"].append({"check": "negative_brick_in_perp",
                                             "slot": r, "brick": list(b.dims)})

@@ -18,12 +18,12 @@ from . import linalg
 from .algebra import BoundQuiver
 from .modules import (
     Representation,
+    _in_fac,
     canonical_sort_key,
     cokernel,
     decompose,
     direct_sum,
     g_vector,
-    hom_basis,
     hom_dim,
     is_isomorphic,
     is_projective_rep,
@@ -78,16 +78,10 @@ class TauPair:
         return ([("m", rep) for rep in self.m_parts]
                 + [("p", j) for j in self.p_parts])
 
-    def module(self) -> Representation:
-        return direct_sum(self.algebra, list(self.m_parts))
-
     def descriptor(self) -> str:
         ms = " ".join(rep.dim_label() for rep in self.m_parts) or "0"
         ps = " ".join(f"P{j}" for j in self.p_parts) or "0"
         return f"({ms} | {ps})"
-
-    def key(self) -> tuple:
-        return (tuple(sorted(rep._uid for rep in self.m_parts)), self.p_parts)
 
     def __repr__(self) -> str:
         return f"TauPair{self.descriptor()}"
@@ -206,14 +200,8 @@ def slot_mutates_down(pair: TauPair, r: int) -> bool:
     completion of the almost pair at r).  Projective slots always go up; a
     module slot goes up exactly when its summand lies in Fac of the rest."""
     kind, payload = pair.slots()[r]
-    if kind == "p":
-        return False
-    # Hom(sum of rest, X) is the direct sum of the cached Hom(x, X), so the
-    # trace is spanned vertexwise by the images of their bases; the images
-    # may overlap, hence a rank test and never a sum of dimensions
-    maps = [f for x in pair.m_parts if x is not payload for f in hom_basis(x, payload)]
-    return any(linalg.rank(linalg.hstack([f.vertex_maps[v] for f in maps], d)) != d
-               for v, d in enumerate(payload.dims))
+    return kind == "m" and not _in_fac([x for x in pair.m_parts if x is not payload],
+                                       payload)
 
 
 def mutate_down(pair: TauPair, r: int, seed: int = 0,
@@ -272,35 +260,46 @@ class _DimLimit(Exception):
 # ----------------------------------------------------------------------
 
 class ModuleRegistry:
-    """Canonical store of indecomposable representations, one per iso class."""
+    """Canonical store of indecomposable representations, one per iso class.
+
+    Ids follow insertion order.  Registered handles are answered by identity;
+    any other module is matched against the handles of its dimension vector
+    by isomorphism."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.reps: list[Representation] = []
         self._by_dims: dict[tuple, list[int]] = {}
+        self._by_uid: dict[int, int] = {}
 
     def find(self, rep: Representation) -> int | None:
+        """Id of the class of rep, or None; never registers anything."""
+        idx = self._by_uid.get(rep._uid)
+        if idx is not None:
+            return idx
         for idx in self._by_dims.get(rep.dims, []):
-            if self.reps[idx]._uid == rep._uid:
-                return idx
             if is_isomorphic(self.reps[idx], rep, seed=self.seed):
                 return idx
         return None
 
-    def add(self, rep: Representation) -> int:
+    def id_of(self, rep: Representation) -> int:
+        """Id of the class of rep, registering rep as its handle if new."""
         idx = self.find(rep)
-        if idx is not None:
-            return idx
-        self.reps.append(rep)
-        idx = len(self.reps) - 1
-        self._by_dims.setdefault(rep.dims, []).append(idx)
+        if idx is None:
+            idx = len(self.reps)
+            self.reps.append(rep)
+            self._by_dims.setdefault(rep.dims, []).append(idx)
+            self._by_uid[rep._uid] = idx
         return idx
 
     def handle(self, rep: Representation) -> Representation:
-        return self.reps[self.add(rep)]
+        return self.reps[self.id_of(rep)]
 
-    def id_of(self, rep: Representation) -> int:
-        return self.add(rep)
+
+def _pair_key(ids, p_parts) -> tuple:
+    """Key of a pair from the registry ids of its module parts and its
+    projective vertices; equal keys mean isomorphic pairs."""
+    return tuple(sorted(ids)), tuple(p_parts)
 
 
 @dataclass(frozen=True)
@@ -314,6 +313,10 @@ class Edge:
 
 @dataclass
 class ExchangeGraph:
+    """Nodes and edges of the exchange graph, indexed once by pair key: each
+    node by its key, and each edge by the key of the almost pair that its
+    source minus its slot is (the edge joins that almost pair's two
+    completions, Fac-larger first)."""
     algebra: BoundQuiver
     nodes: list[TauPair]
     edges: list[Edge]
@@ -325,20 +328,45 @@ class ExchangeGraph:
     fingerprint: str = ""
     _slates: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        part_ids = [[self.registry.find(x) for x in node.m_parts] for node in self.nodes]
+        self._node_of = {_pair_key(ids, node.p_parts): i
+                         for i, (ids, node) in enumerate(zip(part_ids, self.nodes))}
+        self._edge_of = {}
+        self._degrees = [0] * len(self.nodes)
+        for e in self.edges:
+            ids, p_parts = list(part_ids[e.src]), list(self.nodes[e.src].p_parts)
+            if e.slot < len(ids):
+                del ids[e.slot]
+            else:
+                del p_parts[e.slot - len(ids)]
+            self._edge_of[_pair_key(ids, p_parts)] = e
+            self._degrees[e.src] += 1
+            self._degrees[e.dst] += 1
+
     def degree(self, idx: int) -> int:
-        return sum(1 for e in self.edges if idx in (e.src, e.dst))
+        return self._degrees[idx]
+
+    def _key(self, pair: TauPair) -> tuple | None:
+        ids = [self.registry.find(x) for x in pair.m_parts]
+        return None if None in ids else _pair_key(ids, pair.p_parts)
 
     def node_index(self, pair: TauPair) -> int:
-        key = _normalized_key(pair, self.registry)
-        for i, node in enumerate(self.nodes):
-            if _normalized_key(node, self.registry) == key:
-                return i
-        raise KeyError(f"pair {pair.descriptor()} is not a node of this graph")
+        idx = self._node_of.get(self._key(pair))
+        if idx is None:
+            raise KeyError(f"pair {pair.descriptor()} is not a node of this graph")
+        return idx
 
-
-def _normalized_key(pair: TauPair, registry: ModuleRegistry) -> tuple:
-    ids = tuple(sorted(registry.id_of(rep) for rep in pair.m_parts))
-    return (ids, pair.p_parts)
+    def completion_edge(self, almost: TauPair) -> Edge:
+        """The edge joining the two completions of an almost pair."""
+        e = self._edge_of.get(self._key(almost))
+        if e is None:
+            detail = "truncated graph" if not self.complete else "internal error"
+            raise EnumerationError(
+                f"the two completions of {almost.descriptor()} are not both in the "
+                f"graph ({detail}; limits max_nodes={self.max_nodes}, "
+                f"max_dim={self.max_dim})")
+        return e
 
 
 def enumerate_exchange_graph(q: BoundQuiver,
@@ -362,13 +390,11 @@ def enumerate_exchange_graph(q: BoundQuiver,
     start = TauPair(q, tuple(registry.handle(projective(q, i))
                              for i in range(1, q.n + 1)), ())
     truncated = False
-    keys = {_key_with(registry, start): 0}
+    keys = {_pair_key(map(registry.id_of, start.m_parts), start.p_parts): 0}
     nodes = [start]
-    raw_edges: list[tuple[int, int, int]] = []
-    queue = [0]
-    while queue:
-        src_idx = queue.pop(0)
-        pair = nodes[src_idx]
+    raw_edges: list[tuple[int, int, int, tuple[int, ...]]] = []
+    for src_idx, pair in enumerate(nodes):  # nodes doubles as the BFS queue
+        c = None
         for r in range(pair.n_summands):
             if not slot_mutates_down(pair, r):
                 continue
@@ -379,43 +405,31 @@ def enumerate_exchange_graph(q: BoundQuiver,
                 continue
             new_pair = TauPair(q, tuple(registry.handle(x) for x in new_pair.m_parts),
                                new_pair.p_parts)
-            key = _key_with(registry, new_pair)
+            key = _pair_key(map(registry.id_of, new_pair.m_parts), new_pair.p_parts)
             if key not in keys:
                 if len(nodes) >= max_nodes:
                     truncated = True
                     continue
                 keys[key] = len(nodes)
                 nodes.append(new_pair)
-                queue.append(len(nodes) - 1)
-            raw_edges.append((src_idx, keys[key], r))
+            if c is None:
+                c = c_matrix(pair)  # once per source node, not per edge
+            col = tuple(int(c[i, r]) for i in range(q.n))
+            raw_edges.append((src_idx, keys[key], r, col))
 
     order = sorted(range(len(nodes)), key=lambda i: _node_sort_key(q, nodes[i]))
     relabel = {old: new for new, old in enumerate(order)}
-    sorted_nodes = [nodes[i] for i in order]
-    edges = []
-    for src, dst, slot in raw_edges:
-        c = c_matrix(nodes[src])
-        col = tuple(int(c[i, slot]) for i in range(q.n))
-        edges.append(Edge(relabel[src], relabel[dst], slot, col))
-    edges.sort(key=lambda e: (e.src, e.slot))
-    complete = not truncated
-    if complete:
-        graph_check = ExchangeGraph(q, sorted_nodes, edges, complete, registry,
-                                    seed, max_nodes, max_dim, q.fingerprint())
-        for i in range(len(sorted_nodes)):
-            if graph_check.degree(i) != q.n:
+    edges = sorted((Edge(relabel[src], relabel[dst], slot, col)
+                    for src, dst, slot, col in raw_edges), key=lambda e: (e.src, e.slot))
+    graph = ExchangeGraph(q, [nodes[i] for i in order], edges, not truncated, registry,
+                          seed, max_nodes, max_dim, q.fingerprint())
+    if graph.complete:
+        for i in range(len(nodes)):
+            if graph.degree(i) != q.n:
                 raise TheoremViolationError(
                     f"complete graph is not {q.n}-regular at node {i}")
-        q._graph_cache[cache_key] = graph_check
-        return graph_check
-    graph = ExchangeGraph(q, sorted_nodes, edges, complete, registry,
-                          seed, max_nodes, max_dim, q.fingerprint())
     q._graph_cache[cache_key] = graph
     return graph
-
-
-def _key_with(registry: ModuleRegistry, pair: TauPair) -> tuple:
-    return (tuple(sorted(registry.id_of(x) for x in pair.m_parts)), pair.p_parts)
 
 
 def _node_sort_key(q: BoundQuiver, pair: TauPair):
@@ -429,44 +443,16 @@ def complete_almost_pair(almost: TauPair,
                          seed: int = 0) -> tuple[TauPair, TauPair]:
     """The two tau-tilting completions of an almost pair, Fac-larger first.
 
-    Looked up in the (memoised) exchange graph of the algebra; a truncated
-    graph that does not exhibit both completions raises EnumerationError.
+    Read off the edge that joins them in the (memoised) exchange graph of the
+    algebra; a truncated graph that does not exhibit both completions raises
+    EnumerationError.
     """
     if not almost.is_almost_tilting():
         raise ValueError("input must have exactly n - 1 summands")
-    q = almost.algebra
     if graph is None:
-        graph = enumerate_exchange_graph(q, seed=seed)
-    registry = graph.registry
-    almost_ids = sorted(registry.id_of(x) for x in almost.m_parts)
-    matches = []
-    for idx, node in enumerate(graph.nodes):
-        node_ids = sorted(registry.id_of(x) for x in node.m_parts)
-        if _is_submultiset(almost_ids, node_ids) and \
-                set(almost.p_parts) <= set(node.p_parts):
-            matches.append(idx)
-    if len(matches) != 2:
-        detail = "truncated graph" if not graph.complete else "internal error"
-        raise EnumerationError(
-            f"found {len(matches)} completions of {almost.descriptor()} ({detail}; "
-            f"limits max_nodes={graph.max_nodes}, max_dim={graph.max_dim})")
-    a, b = matches
-    for e in graph.edges:
-        if (e.src, e.dst) == (a, b):
-            return graph.nodes[a], graph.nodes[b]
-        if (e.src, e.dst) == (b, a):
-            return graph.nodes[b], graph.nodes[a]
-    raise EnumerationError("completions are not adjacent; inconsistent graph")
-
-
-def _is_submultiset(small: list[int], big: list[int]) -> bool:
-    big = list(big)
-    for x in small:
-        if x in big:
-            big.remove(x)
-        else:
-            return False
-    return True
+        graph = enumerate_exchange_graph(almost.algebra, seed=seed)
+    e = graph.completion_edge(almost)
+    return graph.nodes[e.src], graph.nodes[e.dst]
 
 
 def pair_to_json_dict(pair: TauPair) -> dict:

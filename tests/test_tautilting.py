@@ -4,16 +4,18 @@ import itertools
 
 import pytest
 
-from tautilt import linalg
+from tautilt import linalg, parse_algebra, tautilting
 from tautilt.modules import (
     direct_sum,
     hom_dim,
+    is_isomorphic,
     projective,
     simple,
     tau,
     zero_rep,
 )
 from tautilt.tautilting import (
+    EnumerationError,
     TauPair,
     c_matrix,
     complete_almost_pair,
@@ -206,6 +208,73 @@ def test_mutation_involution(a3_rel_graph):
         larger, smaller = complete_almost_pair(almost, graph=graph)
         assert graph.node_index(larger) == e.src
         assert graph.node_index(smaller) == e.dst
+
+
+PREPROJ_A3_TEXT = """\
+vertices 3
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+arrow c: 2 -> 3
+arrow d: 3 -> 2
+relation a*b
+relation d*c
+relation b*a + -1 c*d
+relation b*a*c
+relation d*b*a
+"""
+
+
+def test_graph_lookups_leave_registry_unchanged(a3_rel, a3_rel_graph):
+    # a decomposable part is in no registered class: the lookups fail and
+    # must not file it as a new indecomposable
+    p1, p2, p3 = (projective(a3_rel, i) for i in (1, 2, 3))
+    doubled = direct_sum(a3_rel, [p1, p1])
+    registry = a3_rel_graph.registry
+    before = len(registry.reps)
+    with pytest.raises(KeyError):
+        a3_rel_graph.node_index(TauPair(a3_rel, (doubled, p2, p3), ()))
+    assert len(registry.reps) == before
+    with pytest.raises(EnumerationError):
+        complete_almost_pair(TauPair(a3_rel, (doubled, p2), ()), graph=a3_rel_graph)
+    assert len(registry.reps) == before
+
+
+def test_graph_lookups_by_identity(monkeypatch):
+    # nodes and completions of a graph are found from its registry handles
+    # alone; the cyclic quiver gives many classes with equal dimension vectors
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    graph = enumerate_exchange_graph(q)
+    assert graph.complete and len(graph.nodes) == 24
+    calls = []
+
+    def counting(m, n, seed=0):
+        calls.append((m.dims, n.dims))
+        return is_isomorphic(m, n, seed=seed)
+
+    monkeypatch.setattr(tautilting, "is_isomorphic", counting)
+    for i, node in enumerate(graph.nodes):
+        assert graph.node_index(node) == i
+    for e in graph.edges:
+        almost = remove_summand(graph.nodes[e.src], e.slot)
+        larger, smaller = complete_almost_pair(almost, graph=graph)
+        assert (graph.node_index(larger), graph.node_index(smaller)) == (e.src, e.dst)
+    assert calls == []
+
+
+def test_truncated_completion_names_limits():
+    kron = parse_algebra("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2")
+    graph = enumerate_exchange_graph(kron, max_nodes=4)
+    assert not graph.complete
+    errors = []
+    for pair in graph.nodes:
+        for r in range(pair.n_summands):
+            try:
+                complete_almost_pair(remove_summand(pair, r), graph=graph)
+            except EnumerationError as exc:
+                errors.append(str(exc))
+    assert errors
+    for msg in errors:
+        assert "max_nodes=4" in msg and "max_dim=30" in msg, msg
 
 
 def test_truncation_flag():
