@@ -63,9 +63,11 @@ class BoundQuiver:
         self.basis_by_pair: dict[tuple[int, int], list[Path]] = {}
         for p in self.path_basis:
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(p)
-        # memo caches used by higher layers (keyed by representation uids)
+        # memo caches used by higher layers (keyed by representation uids;
+        # _submodule_cache by (uid, prime) for the brute-force oracle)
         self._hom_cache: dict = {}
         self._tau_cache: dict = {}
+        self._submodule_cache: dict = {}
         self._proj_cache: dict = {}
         self._inj_cache: dict = {}
         self._pres_cache: dict = {}

@@ -2,8 +2,9 @@
 
     tautilt <file> info|enumerate|verify|fan|graph [options]
 
-Exit codes: 0 success, 1 input error, 2 enumeration truncated,
-3 theorem-violation detected by `verify`.
+Exit codes: 0 success, 1 input error, 2 enumeration truncated (or a fan
+wall over the brute-force oracle's budget), 3 theorem-violation detected
+by `verify`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import linalg
 from .algebra import AlgebraError, parse_algebra
 from .modules import direct_sum, ext1_dim, injective, projective
 from .stability import (
+    BudgetExceeded,
     b_plus,
     fac_contains,
     self_extension_witness,
@@ -216,6 +218,9 @@ def cmd_fan(q, args) -> int:
     except EnumerationError as exc:
         if graph.complete:
             raise
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_TRUNCATED
+    except BudgetExceeded as exc:  # a wall's facets need the oracle
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TRUNCATED
     if fmt == "svg":

@@ -384,25 +384,24 @@ def top(m: Representation) -> tuple[Representation, ModuleMap]:
 
 def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleMap]:
     """Sum of the images of all maps N -> X: the largest sub of X in Fac N."""
-    q = x.algebra
-    maps = hom_basis(n, x)
-    bases = []
-    for v in range(q.n):
-        blocks = [f.vertex_maps[v] for f in maps]
-        stacked = linalg.hstack(blocks, x.dims[v]) if blocks else linalg.zeros(x.dims[v], 0)
-        bases.append(linalg.column_space(stacked))
-    return _sub_representation(x, bases)
+    return _sub_representation(x, list(_trace_bases([n], x)))
+
+
+def _trace_bases(parts: list[Representation], x: Representation):
+    """Column bases, vertex by vertex, of the trace of the sum of the parts in X.
+
+    Hom(sum of parts, X) is the direct sum of the cached Hom(part, X), so the
+    trace is spanned by the images of their bases; the images may overlap,
+    hence a column space and never a sum of dimensions.  Yields lazily, so a
+    caller may stop at the first vertex it rejects."""
+    maps = [f for part in parts for f in hom_basis(part, x)]
+    for v, d in enumerate(x.dims):
+        yield linalg.column_space(linalg.hstack([f.vertex_maps[v] for f in maps], d))
 
 
 def _in_fac(parts: list[Representation], x: Representation) -> bool:
-    """X lies in Fac of the direct sum of the parts.
-
-    Hom(sum of parts, X) is the direct sum of the cached Hom(part, X), so the
-    trace is spanned vertexwise by the images of their bases; the images may
-    overlap, hence a rank test and never a sum of dimensions."""
-    maps = [f for part in parts for f in hom_basis(part, x)]
-    return all(linalg.rank(linalg.hstack([f.vertex_maps[v] for f in maps], d)) == d
-               for v, d in enumerate(x.dims))
+    """X lies in Fac of the direct sum of the parts: its trace is all of X."""
+    return all(b.shape[1] == d for b, d in zip(_trace_bases(parts, x), x.dims))
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,10 @@ from . import linalg
 from .modules import (
     Representation,
     _in_fac,
+    _sub_representation,
+    _trace_bases,
     cokernel,
     decompose,
-    direct_sum,
     end_radical_basis,
     g_vector,
     hom_basis,
@@ -31,7 +32,6 @@ from .modules import (
     projective,
     sub_from_bases,
     tau,
-    trace,
 )
 from .tautilting import (
     EnumerationError,
@@ -145,13 +145,27 @@ def submodule_dim_vectors(x: Representation, p: int = 2) -> set[tuple[int, ...]]
     """Dimension vectors of all subrepresentations over the p-element field.
 
     Cyclic submodules of every vector are closed under the arrow action, and
-    the collection is then closed under sums.  Requires p^(dim X) within the
-    enumeration budget and all matrix entries p-integral.
+    the collection is then closed under sums.  Requires p^(dim X) and the
+    number of sum merges within the enumeration budget, and all matrix
+    entries p-integral.  Answers are memoised per (module, prime); a probe that
+    raises is never cached, so it raises again on every call.
     """
     q = x.algebra
     d = x.total_dim
     if p ** d > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"{p}^{d} exceeds the submodule enumeration budget")
+    key = (x._uid, p)
+    cached = q._submodule_cache.get(key)
+    if cached is None:
+        cached = frozenset(_enumerate_submodule_dims(x, p))
+        q._submodule_cache[key] = cached
+    return set(cached)
+
+
+def _enumerate_submodule_dims(x: Representation, p: int) -> set[tuple[int, ...]]:
+    """The oracle proper, uncached; shares no code with the engine."""
+    q = x.algebra
+    d = x.total_dim
     arrow_p = {}
     for a in q.arrows:
         m = x.arrow_maps[a.name]
@@ -201,15 +215,23 @@ def submodule_dim_vectors(x: Representation, p: int = 2) -> set[tuple[int, ...]]
             if any(comp):
                 vectors[v].append(list(comp))
         subs.add(close(vectors))
-    # close under sums
-    frontier = set(subs)
+    # close under sums: every submodule is a sum of cyclic ones, and a sum of
+    # two submodules is already closed under the arrows, so each new sum is
+    # merged with the cyclic keys only, vertex by vertex
+    cyclic = list(subs - {zero_key})
+    frontier = set(cyclic)
+    merges = 0
     while frontier:
         new: set[tuple] = set()
         for s in frontier:
-            for t in subs:
-                merged = [list(map(list, s[v])) + list(map(list, t[v]))
-                          for v in range(q.n)]
-                key = close(merged)
+            for t in cyclic:
+                merges += 1
+                if merges > BRUTE_FORCE_BUDGET:
+                    raise BudgetExceeded(
+                        f"closing {len(cyclic)} cyclic submodules under sums "
+                        f"exceeds the budget of {BRUTE_FORCE_BUDGET} merges")
+                key = tuple(tuple(map(tuple, _rref_mod_p([*s[v], *t[v]], p)))
+                            for v in range(q.n))
                 if key not in subs:
                     new.add(key)
         subs |= new
@@ -404,21 +426,21 @@ class TorsionClassHandle:
 def minimal_torsion_contains(bricks, x: Representation) -> bool:
     """Membership in the minimal torsion class containing the given modules,
     decided by iterated traces (the trace is torsion, the recursion drops to
-    the quotient, and the total dimension strictly decreases)."""
-    if x.is_zero():
-        return True
-    if not bricks:
-        return False
-    q = x.algebra
-    n = direct_sum(q, list(bricks))
+    the quotient, and the total dimension strictly decreases).  Each trace is
+    spanned by the images of the bricks' own Hom bases, so the first step
+    reads the Hom cache whenever X is a registry handle."""
+    bricks = list(bricks)
     current = x
-    while True:
-        if current.is_zero():
+    while not current.is_zero():
+        bases = list(_trace_bases(bricks, current))
+        ranks = tuple(b.shape[1] for b in bases)
+        if ranks == current.dims:
             return True
-        t, incl = trace(n, current)
-        if t.is_zero():
+        if not any(ranks):
             return False
+        _, incl = _sub_representation(current, bases)
         current, _ = cokernel(incl)
+    return True
 
 
 def verify_facm_theorem(slate: BrickSlate, probes) -> dict:

@@ -49,6 +49,21 @@ POINT_TEXT = """\
 vertices 1
 """
 
+# the preprojective algebra of A3, with the two critical-pair consequences
+# b*a*c and d*b*a of the other relations written out
+PREPROJ_A3_TEXT = """\
+vertices 3
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+arrow c: 2 -> 3
+arrow d: 3 -> 2
+relation a*b
+relation d*c
+relation b*a + -1 c*d
+relation b*a*c
+relation d*b*a
+"""
+
 CORPUS_TEXTS = {
     "a3_rel": A3_REL_TEXT,
     "loop": LOOP_TEXT,

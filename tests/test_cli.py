@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,19 @@ def test_graph_truncated_with_output(a3_rel_file, capsys):
     assert out.startswith("digraph")
 
 
+@pytest.mark.parametrize("prime", [[], ["--prime", "3"]], ids=["default", "3"])
+def test_fan_oracle_budget_exit(tmp_path, capsys, prime):
+    # wall facets come from the brute-force oracle: a brick over its budget
+    # cuts the fan short like --max-nodes, with exit 2 and an error line
+    f = tmp_path / "kron.alg"
+    f.write_text("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    start = time.monotonic()
+    code, out, err = run_cli_err([str(f), "fan", "--max-nodes", "12"] + prime, capsys)
+    assert time.monotonic() - start < 20
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+
 def test_fan_svg_rank_checked_before_enumeration(loop_file, capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the rank check")
@@ -232,3 +246,17 @@ def test_determinism_subprocess(tmp_path):
         ]
         outputs.append(run)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_determinism_subprocess(tmp_path):
+    # no memo may make the report depend on the process: per seed, two
+    # fresh processes print the same bytes
+    f = tmp_path / "a3_rel.alg"
+    f.write_text(A3_REL_TEXT)
+    for seed in ("0", "1"):
+        outputs = [subprocess.run([sys.executable, "-m", "tautilt.cli", str(f), "verify",
+                                   "--seed", seed],
+                                  capture_output=True, check=True).stdout
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["all_pass"] is True

@@ -1,14 +1,22 @@
 """Semistability deciders, bricks, slates, torsion classes, theorem checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
+
+from tautilt import enumerate_exchange_graph, linalg, parse_algebra
 from tautilt.modules import (
+    cokernel,
     direct_sum,
+    hom_basis,
     is_isomorphic,
     projective,
+    rep_from_literal,
     simple,
+    sub_from_bases,
     trace,
     zero_rep,
 )
@@ -105,11 +113,75 @@ def test_submodules_budget(a3_rel):
 
 
 def test_submodules_denominator_clash(a3_rel):
-    from tautilt.modules import rep_from_literal
     rep = rep_from_literal(a3_rel, {"dims": [1, 1, 0], "arrows": {"a": [["1/2"]]}})
     with pytest.raises(BudgetExceeded):
         submodule_dim_vectors(rep, 2)
     assert submodule_dim_vectors(rep, 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
+
+
+def test_submodules_warm_cache_agrees_with_cold():
+    # one algebra per prime answers every probe cold; a second answers each
+    # probe for p = 2 and p = 3 in turn and then again from its memo
+    warm = parse_algebra(A3_REL_TEXT)
+    probes = list(enumerate_exchange_graph(warm).registry.reps)
+    probes.append(rep_from_literal(warm, {"dims": [1, 1, 0], "arrows": {"a": [["2"]]}}))
+    for p in (2, 3):
+        cold = parse_algebra(A3_REL_TEXT)
+        cold_probes = list(enumerate_exchange_graph(cold).registry.reps)
+        cold_probes.append(
+            rep_from_literal(cold, {"dims": [1, 1, 0], "arrows": {"a": [["2"]]}}))
+        want = [submodule_dim_vectors(x, p) for x in cold_probes]
+        assert [submodule_dim_vectors(x, p) for x in probes] == want
+        assert [submodule_dim_vectors(x, p) for x in probes] == want
+    # the map 2 vanishes over GF(2) only: one probe, two different answers
+    assert submodule_dim_vectors(probes[-1], 2) == {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
+    assert submodule_dim_vectors(probes[-1], 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
+    # a caller mutating an answer does not mutate the memo
+    submodule_dim_vectors(probes[-1], 3).clear()
+    assert submodule_dim_vectors(probes[-1], 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
+
+
+@pytest.mark.parametrize("first", [2, 3])
+def test_submodules_denominator_clash_never_cached(first):
+    q = parse_algebra(A3_REL_TEXT)
+    rep = rep_from_literal(q, {"dims": [1, 1, 0], "arrows": {"a": [["1/2"]]}})
+    for p in (first, 5 - first, 2, 3):
+        if p == 2:
+            with pytest.raises(BudgetExceeded):
+                submodule_dim_vectors(rep, 2)
+        else:
+            assert submodule_dim_vectors(rep, 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
+
+
+def test_submodules_over_budget_raise_again(a3_rel):
+    big = direct_sum(a3_rel, [projective(a3_rel, 1)] * 8)
+    # 2^6 vectors are within budget, but the 2824 nonzero subspaces of
+    # GF(2)^6, each merged with the 63 lines, are not
+    wide = direct_sum(a3_rel, [simple(a3_rel, 1)] * 6)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            submodule_dim_vectors(big, 7)
+        with pytest.raises(BudgetExceeded, match="merges"):
+            submodule_dim_vectors(wide, 2)
+    five = direct_sum(a3_rel, [simple(a3_rel, 1)] * 5)
+    assert submodule_dim_vectors(five, 2) == {(k, 0, 0) for k in range(6)}
+
+
+def test_verify_pair_reports_independent_of_oracle_cache():
+    reports = []
+    for prefill in (False, True):
+        q = parse_algebra(A3_REL_TEXT)
+        graph = enumerate_exchange_graph(q)
+        for idx in range(len(graph.nodes)):
+            slate_for_node(graph, idx)
+        probes = list(graph.registry.reps)
+        if prefill:
+            for x in probes:
+                submodule_dim_vectors(x, 2)
+            assert len(q._submodule_cache) == len(probes)
+        reports.append([verify_pair(pair, graph, probes) for pair in graph.nodes])
+    assert reports[0] == reports[1]
+    assert all(r["pass"] for r in reports[0])
 
 
 def test_bruteforce_decider_golden(a3_rel):
@@ -226,6 +298,45 @@ def test_minimal_torsion_golden(a3_rel):
     assert minimal_torsion_contains([], zero_rep(a3_rel))
     assert not minimal_torsion_contains([], s1)
     assert minimal_torsion_contains([p1], p1)
+
+
+def _reference_minimal_torsion(bricks, x):
+    """Iterated traces of the direct sum of the bricks, built as one module
+    and traced through its own Hom basis, sharing no trace code with the
+    engine."""
+    if x.is_zero():
+        return True
+    if not bricks:
+        return False
+    n = direct_sum(x.algebra, list(bricks))
+    current = x
+    while not current.is_zero():
+        maps = hom_basis(n, current)
+        bases = [linalg.hstack([f.vertex_maps[v] for f in maps], d)
+                 for v, d in enumerate(current.dims)]
+        if all(linalg.rank(b) == 0 for b in bases):
+            return False
+        _, incl = sub_from_bases(current, bases)
+        current, _ = cokernel(incl)
+    return True
+
+
+@pytest.mark.parametrize("text", [A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT],
+                         ids=["a3_rel", "nakayama2", "preproj_a3"])
+def test_minimal_torsion_matches_reference(text):
+    q = parse_algebra(text)
+    graph = enumerate_exchange_graph(q)
+    plus_sets = [b_plus(slate_for_node(graph, idx)) for idx in range(len(graph.nodes))]
+    reps = list(graph.registry.reps)
+    probes = reps + [direct_sum(q, [x, y])
+                     for x, y in itertools.combinations_with_replacement(reps, 2)]
+    answers = set()
+    for plus in plus_sets:
+        for x in probes:
+            got = minimal_torsion_contains(plus, x)
+            assert got == _reference_minimal_torsion(plus, x), (plus, x.dims)
+            answers.add(got)
+    assert answers == {True, False}
 
 
 def test_minimal_torsion_iterated_extension(loop_algebra):

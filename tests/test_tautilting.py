@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from conftest import PREPROJ_A3_TEXT
+
 from tautilt import linalg, parse_algebra, tautilting
 from tautilt.modules import (
     direct_sum,
@@ -208,20 +210,6 @@ def test_mutation_involution(a3_rel_graph):
         larger, smaller = complete_almost_pair(almost, graph=graph)
         assert graph.node_index(larger) == e.src
         assert graph.node_index(smaller) == e.dst
-
-
-PREPROJ_A3_TEXT = """\
-vertices 3
-arrow a: 1 -> 2
-arrow b: 2 -> 1
-arrow c: 2 -> 3
-arrow d: 3 -> 2
-relation a*b
-relation d*c
-relation b*a + -1 c*d
-relation b*a*c
-relation d*b*a
-"""
 
 
 def test_graph_lookups_leave_registry_unchanged(a3_rel, a3_rel_graph):
