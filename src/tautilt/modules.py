@@ -922,9 +922,9 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
     """Exact isomorphism test.
 
-    Tries seeded random combinations of a Hom basis; if none is invertible,
-    decides symbolically whether the product of vertexwise determinants is
-    the zero polynomial.
+    Seeded random combinations of a Hom(M, N) basis answer "yes" when one is
+    invertible at every vertex; otherwise :func:`_is_isomorphic_symbolic`
+    decides exactly from composites of Hom basis maps, without sampling.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
@@ -947,24 +947,42 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
 
 def _is_isomorphic_symbolic(m: Representation, n: Representation,
                             maps: list[ModuleMap]) -> bool:
-    import sympy
+    """Decide M = N exactly for equal dimension vectors; ``maps`` spans Hom(M, N).
 
-    cs = sympy.symbols(f"c0:{len(maps)}")
-    for v in range(m.algebra.n):
-        d = m.dims[v]
-        if d == 0:
-            continue
-        mat = sympy.zeros(d, d)
-        for idx, f in enumerate(maps):
-            block = f.vertex_maps[v]
-            for r in range(d):
-                for c in range(d):
-                    x = Fraction(block[r, c])
-                    if x != 0:
-                        mat[r, c] += cs[idx] * sympy.Rational(x.numerator, x.denominator)
-        if sympy.expand(mat.det()) == 0:
-            return False
-    return True
+    1. If some composite ``g . f`` (``g`` in a Hom(N, M) basis, ``f`` in
+       ``maps``) is invertible at every vertex, ``f`` is injective between
+       spaces of equal dimension: an isomorphism.
+    2. If End(M) is local and M = N via ``psi . phi = id``, expanding both in
+       the bases writes ``id`` as a combination of the composites of step 1;
+       the non-units of a local ring form an ideal, so one composite is a
+       unit.  Step 1 found none, so M and N are not isomorphic.  Locality is
+       certified as in :func:`_decompose_rec`: End(M) is one-dimensional, or
+       End/rad is, or :func:`decompose` leaves M whole.
+    3. Otherwise compare the indecomposable summands of M and N with their
+       multiplicities (Krull-Schmidt); summands are local, so step 2 decides
+       each comparison.
+
+    The benchmark counts the calls that reach this decider under this name,
+    so the name stays although no symbolic computation is left.
+    """
+    back = hom_basis(n, m)
+    if not back:
+        return False
+    verts = [v for v, d in enumerate(m.dims) if d]
+    for g in back:
+        for f in maps:
+            if all(linalg.det(g.vertex_maps[v] @ f.vertex_maps[v]) != 0 for v in verts):
+                return True
+    endos = hom_basis(m, m)
+    if len(endos) == 1 or len(endos) - _end_structure(endos)[1].shape[1] == 1:
+        return False
+    parts_m = decompose(m)
+    if parts_m == [(m, 1)]:
+        return False
+    parts_n = decompose(n)
+    return len(parts_m) == len(parts_n) and all(
+        any(k == k2 and is_isomorphic(r, r2) for r2, k2 in parts_n)
+        for r, k in parts_m)
 
 
 # ----------------------------------------------------------------------

@@ -91,8 +91,9 @@ def theta_of_slot(pair: TauPair, r: int) -> tuple[Fraction, ...]:
     return theta_of_pair(almost)
 
 
-def pairing(theta, dims) -> Fraction:
-    return sum((Fraction(t) * d for t, d in zip(theta, dims)), Fraction(0))
+def pairing(theta, dims) -> Fraction | int:
+    """<theta, dims>: an int for an integer theta, a Fraction for rational weights."""
+    return sum((t * d for t, d in zip(theta, dims)), 0)
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +554,9 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes,
                 ok_cxd = False
     report["checks"]["c_eq_xd"] = ok_cxd
 
-    theta = theta_of_pair(pair)
+    # theta is the row sum of the integer g-matrix; dropping slot r subtracts
+    # column r (theta_of_pair and theta_of_slot, without rebuilding g-vectors)
+    theta = [sum(row) for row in g.tolist()]
     ok_theta = all(pairing(theta, slate.bricks[r].dims) == slate.d_diagonal[r]
                    for r in range(q.n))
     report["checks"]["theta_pairing"] = ok_theta
@@ -584,7 +587,7 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes,
     skipped = 0
     for r in range(q.n):
         almost = remove_summand(pair, r)
-        theta_r = theta_of_slot(pair, r)
+        theta_r = [t - g[i, r] for i, t in enumerate(theta)]
         for x in probes:
             try:
                 brute = is_semistable_bruteforce(x, theta_r, prime)

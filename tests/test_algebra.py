@@ -68,6 +68,15 @@ def test_non_admissible_rejected():
         parse_algebra("vertices 1\narrow a: 1 -> 1")  # free loop
 
 
+def test_non_nilpotent_arrow_ideal_rejected():
+    # x*x = x*x*x leaves a 3-dimensional quotient in which no power of x vanishes
+    with pytest.raises(AlgebraError) as exc:
+        parse_algebra("vertices 1\narrow x: 1 -> 1\nrelation x*x - x*x*x")
+    assert "not admissible" in str(exc.value)
+    # the nilpotent truncation of the same loop still parses
+    assert parse_algebra("vertices 1\narrow x: 1 -> 1\nrelation x*x*x").dimension == 3
+
+
 def test_relation_arrow_rejected():
     with pytest.raises(AlgebraError):
         parse_algebra("vertices 2\narrow a: 1 -> 2\nrelation a")

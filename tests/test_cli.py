@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import A3_REL_TEXT, LOOP_TEXT
+from conftest import A3_REL_TEXT, LOOP_TEXT, PREPROJ_A3_TEXT
 
 from tautilt.cli import main
 
@@ -153,6 +153,14 @@ def test_non_utf8_file_exit(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_non_admissible_algebra_exit(tmp_path, capsys):
+    f = tmp_path / "idem.alg"
+    f.write_text("vertices 1\narrow x: 1 -> 1\nrelation x*x - x*x*x\n")
+    code, out, err = run_cli_err([str(f), "enumerate"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unwritable_output_exit(a3_rel_file, tmp_path, capsys):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli_err([a3_rel_file, "info", "-o", str(target)], capsys)
@@ -260,3 +268,36 @@ def test_verify_determinism_subprocess(tmp_path):
                    for _ in range(2)]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["all_pass"] is True
+
+
+# runs the CLI in a fresh process and fails unless sympy stayed unloaded
+_NO_SYMPY_MAIN = """\
+import sys
+from tautilt.cli import main
+code = main(sys.argv[1:])
+assert "sympy" not in sys.modules, "sympy was imported"
+sys.exit(code)
+"""
+
+A5_TEXT = "vertices 5\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\narrow d: 4 -> 5\n"
+
+
+def test_fan_svg_without_sympy_subprocess(tmp_path):
+    # isomorphism is decided without sympy, and the answer does not depend
+    # on the seed of the random trials
+    f = tmp_path / "preproj_a3.alg"
+    f.write_text(PREPROJ_A3_TEXT)
+    outputs = [subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(f), "fan",
+                               "--format", "svg", "--seed", seed],
+                              capture_output=True, check=True).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"<svg")
+
+
+def test_verify_without_sympy_subprocess(tmp_path):
+    f = tmp_path / "a5.alg"
+    f.write_text(A5_TEXT)
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(f), "verify"],
+                         capture_output=True, check=True).stdout
+    assert json.loads(out)["all_pass"] is True

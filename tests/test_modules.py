@@ -6,13 +6,18 @@ Ext-vanishing from the simples, and tau is cross-checked through the
 g-vector pairing identity.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from tautilt import linalg
+from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
+
+from tautilt import enumerate_exchange_graph, linalg, parse_algebra
 from tautilt.modules import (
     ModuleMap,
+    _is_isomorphic_symbolic,
     ar_pairing,
     canonical_sort_key,
     cokernel,
@@ -201,6 +206,79 @@ def test_is_isomorphic_same_dims_nonisomorphic(nakayama2):
     assert hom_dim(p1, p2) == 1 and hom_dim(p2, p1) == 1
     assert not is_isomorphic(p1, p2)
     assert is_isomorphic(p1, projective(nakayama2, 1))
+
+
+def _reference_is_isomorphic_symbolic(m, n, maps):
+    # the engine's former decider: is the product of the vertexwise
+    # determinants of a generic combination of ``maps`` the zero polynomial?
+    import sympy
+
+    cs = sympy.symbols(f"c0:{len(maps)}")
+    for v in range(m.algebra.n):
+        d = m.dims[v]
+        if d == 0:
+            continue
+        mat = sympy.zeros(d, d)
+        for idx, f in enumerate(maps):
+            block = f.vertex_maps[v]
+            for r in range(d):
+                for c in range(d):
+                    x = Fraction(block[r, c])
+                    if x != 0:
+                        mat[r, c] += cs[idx] * sympy.Rational(x.numerator, x.denominator)
+        if sympy.expand(mat.det()) == 0:
+            return False
+    return True
+
+
+def _assert_iso_matches_reference(m, n):
+    """Both the public test and the exact decider (without the seeded trials,
+    which would answer most "yes" cases first) agree with the reference."""
+    maps = hom_basis(m, n)
+    want = _reference_is_isomorphic_symbolic(m, n, maps)
+    assert is_isomorphic(m, n) == want, (m, n)
+    assert _is_isomorphic_symbolic(m, n, maps) == want, (m, n)
+    return want
+
+
+@pytest.mark.parametrize("text", [A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT],
+                         ids=["a3_rel", "nakayama2", "preproj_a3"])
+def test_is_isomorphic_matches_symbolic_reference(text):
+    q = parse_algebra(text)
+    reps = list(enumerate_exchange_graph(q).registry.reps)
+    sums = {(x, y): direct_sum(q, [x, y])
+            for x, y in itertools.combinations_with_replacement(reps, 2)}
+    mods = reps + list(sums.values())
+    for a, b in itertools.combinations_with_replacement(mods, 2):
+        if a.dims == b.dims:
+            _assert_iso_matches_reference(a, b)
+    for (x, y), s in sums.items():
+        if x is not y:
+            assert _assert_iso_matches_reference(s, direct_sum(q, [y, x]))
+
+
+def test_is_isomorphic_compares_summands(a2):
+    # End(P1 + S2) is not local, so the answer comes from Krull-Schmidt
+    p1, s1, s2 = projective(a2, 1), simple(a2, 1), simple(a2, 2)
+    m = direct_sum(a2, [p1, s2])
+    assert not _assert_iso_matches_reference(m, direct_sum(a2, [s1, s2, s2]))
+    assert _assert_iso_matches_reference(m, direct_sum(a2, [s2, p1]))
+
+
+def test_is_isomorphic_residue_field_larger_than_rationals():
+    # End of (I, [[0,-1],[1,0]]) is Q(i): local, though End/rad is not Q
+    kron = parse_algebra("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2")
+    m = rep_from_literal(kron, {"dims": [2, 2], "arrows": {"a": [[1, 0], [0, 1]],
+                                                          "b": [[0, -1], [1, 0]]}})
+    s1, s2 = simple(kron, 1), simple(kron, 2)
+    assert not _assert_iso_matches_reference(m, direct_sum(kron, [s1, s1, s2, s2]))
+    # the same module after the base changes P = [[1,1],[0,1]] at vertex 1
+    # and Q = [[2,0],[1,1]] at vertex 2: arrows Q a P^-1 and Q b P^-1
+    copy = rep_from_literal(kron, {"dims": [2, 2], "arrows": {"a": [[2, -2], [1, 0]],
+                                                             "b": [[0, -2], [1, -2]]}})
+    assert _assert_iso_matches_reference(m, copy)
+    assert _assert_iso_matches_reference(direct_sum(kron, [m, m]),
+                                         direct_sum(kron, [copy, copy]))
 
 
 # ----------------------------------------------------------------------
