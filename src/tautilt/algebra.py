@@ -64,14 +64,23 @@ class BoundQuiver:
         for p in self.path_basis:
             self.basis_by_pair.setdefault((p[0], self.path_target(p)), []).append(p)
         self._check_nilpotent()
-        # memo caches used by higher layers (keyed by representation uids;
-        # _submodule_cache by (uid, prime) for the brute-force oracle)
+        # every Representation over this algebra, keyed by its exact value
+        # (dims plus every arrow-matrix entry): building an equal value
+        # returns the same object, so a representation uid names a value
+        self._interned: dict = {}
+        # memo caches used by higher layers, keyed by representation uids
+        # (hence by value); _submodule_cache and _decompose_cache by (uid,
+        # prime) and (uid, seed), _g_cache and _c_cache by the uids of a
+        # pair's module parts plus its projective vertices
         self._hom_cache: dict = {}
         self._tau_cache: dict = {}
         self._submodule_cache: dict = {}
+        self._decompose_cache: dict = {}
         self._proj_cache: dict = {}
         self._inj_cache: dict = {}
         self._pres_cache: dict = {}
+        self._g_cache: dict = {}
+        self._c_cache: dict = {}
         self._graph_cache: dict = {}
 
     # ------------------------------------------------------------------

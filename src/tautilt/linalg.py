@@ -56,6 +56,12 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: a matrix shared through a memo."""
+    a.flags.writeable = False
+    return a
+
+
 def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 

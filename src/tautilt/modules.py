@@ -2,8 +2,9 @@
 
 A representation is an assignment of exact rational vector spaces to vertices
 and matrices to arrows; it models a finite-dimensional right module.  All
-operations are pure: they take immutable representations and return new ones.
-Caching lives on the algebra object and only memoises pure results.
+operations are pure: they take immutable representations and return
+representations interned by value, so an equal result is the object built
+before.  Caching lives on the algebra object and only memoises pure results.
 """
 
 from __future__ import annotations
@@ -32,31 +33,47 @@ class Representation:
 
     ``dims`` is the dimension vector (1-indexed vertices stored 0-indexed);
     ``arrow_maps[name]`` has shape (dim target, dim source) and acts along the
-    arrow.  Instances are immutable.
+    arrow.  Instances are immutable and interned by value: building a
+    representation whose dims and arrow matrices equal those of one already
+    built over the same algebra returns that object, so equal values are the
+    same object and every memo keyed by ``_uid`` serves rebuilt modules.
+    Isomorphic but unequal values stay distinct objects.  ``check=True``
+    verifies the relations on every call, a hit included.
     """
 
     __slots__ = ("algebra", "dims", "arrow_maps", "_uid", "_fp")
 
-    def __init__(self, algebra: BoundQuiver, dims, arrow_maps, check: bool = True):
-        self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) != algebra.n or any(d < 0 for d in self.dims):
+    def __new__(cls, algebra: BoundQuiver, dims, arrow_maps, check: bool = True):
+        dims = tuple(int(d) for d in dims)
+        if len(dims) != algebra.n or any(d < 0 for d in dims):
             raise ValueError("bad dimension vector")
         maps = {}
         for a in algebra.arrows:
+            shape = (dims[a.target - 1], dims[a.source - 1])
             m = arrow_maps.get(a.name)
             if m is None:
-                m = linalg.zeros(self.dims[a.target - 1], self.dims[a.source - 1])
-            if m.shape != (self.dims[a.target - 1], self.dims[a.source - 1]):
+                m = linalg.zeros(*shape)
+            elif m.shape != shape:
                 raise ValueError(f"arrow {a.name}: matrix shape {m.shape} does not match dims")
-            m = m.copy()
-            m.flags.writeable = False
             maps[a.name] = m
-        self.arrow_maps = maps
-        self._uid = next(_uid_counter)
-        self._fp = None
-        if check:
-            self._check_relations()
+        # the exact value; shapes follow from dims, so the entries concatenate
+        key = (dims, *(x for m in maps.values() for x in m.ravel().tolist()))
+        rep = algebra._interned.get(key)
+        if rep is None:
+            rep = super().__new__(cls)
+            rep.algebra = algebra
+            rep.dims = dims
+            rep.arrow_maps = {name: linalg.frozen(m.copy()) for name, m in maps.items()}
+            rep._uid = next(_uid_counter)
+            rep._fp = None
+            if check:
+                rep._check_relations()
+            # setdefault: a thread that lost a race to intern this value
+            # adopts the winner's object
+            rep = algebra._interned.setdefault(key, rep)
+        elif check:
+            rep._check_relations()
+        return rep
 
     def _check_relations(self) -> None:
         for combo in self.algebra.relations:
@@ -247,7 +264,10 @@ def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:
 # ----------------------------------------------------------------------
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """A basis of Hom(M, N), solved from the exact intertwiner equations."""
+    """A basis of Hom(M, N), solved from the exact intertwiner equations.
+
+    Memoised per (M, N); the list and its read-only vertex matrices are
+    shared by every caller, so they must not be modified."""
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     q = m.algebra
@@ -286,8 +306,8 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     basis_cols = linalg.nullspace_of_rows(rows, total)
     out = []
     for b in range(basis_cols.shape[1]):
-        vm = [basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b]
-              .reshape(n.dims[v], m.dims[v]).copy() for v in range(nv)]
+        vm = [linalg.frozen(basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b]
+                            .reshape(n.dims[v], m.dims[v]).copy()) for v in range(nv)]
         out.append(ModuleMap(m, n, vm, check=False))
     q._hom_cache[key] = out
     return out
@@ -870,10 +890,16 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
     Splitting endomorphisms are found by factoring minimal polynomials of
     endomorphisms (basis elements, their products, then seeded random
     combinations).  Raises :class:`DecompositionError` if no splitting is
-    found but the endomorphism ring is provably non-local.
+    found but the endomorphism ring is provably non-local.  The search
+    depends only on the value of M and the seed, so the answer is memoised
+    per (module, seed); each call returns a fresh list.
     """
     if m.is_zero():
         return []
+    key = (m._uid, seed)
+    cached = m.algebra._decompose_cache.get(key)
+    if cached is not None:
+        return list(cached)
     pieces = _decompose_rec(m, seed)
     groups: list[tuple[Representation, int]] = []
     for piece in pieces:
@@ -884,6 +910,7 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
         else:
             groups.append((piece, 1))
     groups.sort(key=lambda t: canonical_sort_key(t[0]))
+    m.algebra._decompose_cache[key] = tuple(groups)
     return groups
 
 

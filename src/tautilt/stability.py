@@ -306,7 +306,9 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
         raise TheoremViolationError("extracted module is not a brick")
     if not is_semistable_hom(brick, almost):
         raise TheoremViolationError("extracted brick fails the Hom criterion")
-    theta = theta_of_slot(pair, r)
+    # theta_of_slot, read off the memoised integer g-matrix: the row sum
+    # minus column r
+    theta = [sum(row) - row[r] for row in g_matrix(pair).tolist()]
     if pairing(theta, brick.dims) != 0:
         raise TheoremViolationError("extracted brick is not on the stability wall")
     return brick

@@ -136,11 +136,22 @@ def remove_summand(pair: TauPair, r: int) -> TauPair:
 # G- and C-matrices
 # ----------------------------------------------------------------------
 
+def _pair_memo_key(pair: TauPair) -> tuple:
+    """The uids of the module parts (interned, so their values) and the
+    projective vertices: equal keys mean equal pairs."""
+    return tuple(x._uid for x in pair.m_parts), pair.p_parts
+
+
 def g_matrix(pair: TauPair) -> np.ndarray:
     """Columns are g-vectors of the module slots and negated g-vectors of the
-    projective slots, in canonical slot order.  The determinant is +-1."""
+    projective slots, in canonical slot order.  The determinant is +-1.
+    Memoised per pair; the read-only result is shared by every caller."""
     if not pair.is_tilting():
         raise ValueError("g-matrix is defined for pairs with n summands")
+    key = _pair_memo_key(pair)
+    cached = pair.algebra._g_cache.get(key)
+    if cached is not None:
+        return cached
     n = pair.algebra.n
     cols = []
     for kind, payload in pair.slots():
@@ -155,14 +166,20 @@ def g_matrix(pair: TauPair) -> np.ndarray:
     d = linalg.det(g)
     if d not in (1, -1):
         raise TheoremViolationError(f"g-matrix determinant is {d}, expected +-1")
+    pair.algebra._g_cache[key] = linalg.frozen(g)
     return g
 
 
 def c_matrix(pair: TauPair) -> np.ndarray:
-    """Exact inverse-transpose of the g-matrix; integer entries."""
-    g = g_matrix(pair)
-    c = linalg.inverse(g).T.copy()
+    """Exact inverse-transpose of the g-matrix; integer entries.  Memoised
+    per pair; the read-only result is shared by every caller."""
+    key = _pair_memo_key(pair)
+    cached = pair.algebra._c_cache.get(key)
+    if cached is not None:
+        return cached
+    c = linalg.inverse(g_matrix(pair)).T.copy()
     linalg.as_int_matrix(c)  # integrality assertion
+    pair.algebra._c_cache[key] = linalg.frozen(c)
     return c
 
 
@@ -262,7 +279,8 @@ class _DimLimit(Exception):
 class ModuleRegistry:
     """Canonical store of indecomposable representations, one per iso class.
 
-    Ids follow insertion order.  Registered handles are answered by identity;
+    Ids follow insertion order.  Registered handles, and so every module
+    equal to one (modules are interned by value), are answered by identity;
     any other module is matched against the handles of its dimension vector
     by isomorphism."""
 
@@ -394,7 +412,6 @@ def enumerate_exchange_graph(q: BoundQuiver,
     nodes = [start]
     raw_edges: list[tuple[int, int, int, tuple[int, ...]]] = []
     for src_idx, pair in enumerate(nodes):  # nodes doubles as the BFS queue
-        c = None
         for r in range(pair.n_summands):
             if not slot_mutates_down(pair, r):
                 continue
@@ -412,8 +429,7 @@ def enumerate_exchange_graph(q: BoundQuiver,
                     continue
                 keys[key] = len(nodes)
                 nodes.append(new_pair)
-            if c is None:
-                c = c_matrix(pair)  # once per source node, not per edge
+            c = c_matrix(pair)
             col = tuple(int(c[i, r]) for i in range(q.n))
             raw_edges.append((src_idx, keys[key], r, col))
 

@@ -14,9 +14,10 @@ import pytest
 
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import enumerate_exchange_graph, linalg, parse_algebra
+from tautilt import enumerate_exchange_graph, linalg, modules, parse_algebra
 from tautilt.modules import (
     ModuleMap,
+    Representation,
     _is_isomorphic_symbolic,
     ar_pairing,
     canonical_sort_key,
@@ -48,6 +49,8 @@ from tautilt.modules import (
     zero_map,
     zero_rep,
 )
+from tautilt.stability import slate_for_node, verify_pair
+from tautilt.wallchamber import build_fan
 
 
 # ----------------------------------------------------------------------
@@ -539,3 +542,125 @@ def test_canonical_order_descending(a3_rel):
     reps = [simple(a3_rel, 3), projective(a3_rel, 1), simple(a3_rel, 1)]
     ordered = sorted(reps, key=canonical_sort_key)
     assert [r.dims for r in ordered] == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
+
+
+# ----------------------------------------------------------------------
+# interning: equal values are one object
+# ----------------------------------------------------------------------
+
+KRONECKER_TEXT = "vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+
+
+def test_equal_literals_are_one_object(a3_rel):
+    lit = {"dims": [1, 1, 0], "arrows": {"a": [["1/2"]]}}
+    assert rep_from_literal(a3_rel, lit) is rep_from_literal(a3_rel, lit)
+    # ints and equal Fractions are one value
+    assert (rep_from_literal(a3_rel, {"dims": [1, 1, 0], "arrows": {"a": [[2]]}})
+            is rep_from_literal(a3_rel, {"dims": [1, 1, 0], "arrows": {"a": [["4/2"]]}}))
+
+
+def test_cokernel_taken_twice_is_one_object(a3_rel):
+    p1, p2 = projective(a3_rel, 1), projective(a3_rel, 2)
+    (f,) = hom_basis(p2, p1)
+    first, proj1 = cokernel(f)
+    second, proj2 = cokernel(f)
+    assert first is second
+    # maps into the first build compose with maps out of the second
+    assert identity_map(second).compose(proj1).target is first
+
+
+def test_rebuilt_module_hom_solves_no_new_system(monkeypatch):
+    q = parse_algebra(A3_REL_TEXT)
+    (f,) = hom_basis(projective(q, 2), projective(q, 1))
+    coker, _ = cokernel(f)
+    targets = [projective(q, i) for i in (1, 2, 3)]
+    for t in targets:
+        hom_basis(coker, t)
+        hom_basis(t, coker)
+    solved = []
+    real = linalg.nullspace_of_rows
+
+    def counting(rows, n):
+        solved.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(linalg, "nullspace_of_rows", counting)
+    rebuilt = rep_from_literal(q, rep_to_literal(coker))
+    assert rebuilt is coker
+    for t in targets:
+        hom_basis(rebuilt, t)
+        hom_basis(t, rebuilt)
+    assert solved == []
+
+
+def test_isomorphic_unequal_values_stay_distinct():
+    kron = parse_algebra(KRONECKER_TEXT)
+    m = rep_from_literal(kron, {"dims": [1, 2], "arrows": {"a": [[1], [0]], "b": [[0], [1]]}})
+    n = rep_from_literal(kron, {"dims": [1, 2], "arrows": {"a": [[0], [1]], "b": [[1], [0]]}})
+    assert m.fingerprint() == n.fingerprint()  # the fingerprint collides
+    assert m is not n and m._uid != n._uid
+    assert is_isomorphic(m, n) and is_isomorphic(n, m)
+
+
+def test_checked_hit_on_relation_violation_still_raises(loop_algebra):
+    maps = {"a": linalg.mat([[1]]), "b": linalg.mat([[1]])}
+    unchecked = Representation(loop_algebra, (1, 1), maps, check=False)
+    assert Representation(loop_algebra, (1, 1), maps, check=False) is unchecked
+    with pytest.raises(ValueError):
+        Representation(loop_algebra, (1, 1), maps)
+    with pytest.raises(ValueError):
+        rep_from_literal(loop_algebra, {"dims": [1, 1], "arrows": {"a": [[1]], "b": [[1]]}})
+
+
+def test_interned_arrow_maps_are_not_the_callers():
+    q = parse_algebra(A3_REL_TEXT)
+    a = linalg.mat([[1]])
+    rep = Representation(q, (1, 1, 0), {"a": a})
+    a[0, 0] = 5  # the caller keeps a writeable matrix of its own
+    assert rep.arrow_maps["a"][0, 0] == 1
+    assert Representation(q, (1, 1, 0), {"a": linalg.mat([[1]])}) is rep
+
+
+@pytest.mark.parametrize("text", [A3_REL_TEXT, PREPROJ_A3_TEXT],
+                         ids=["a3_rel", "preproj_a3"])
+def test_verify_reports_independent_of_prefilled_memos(text):
+    reports = []
+    for prefill in (False, True):
+        q = parse_algebra(text)
+        graph = enumerate_exchange_graph(q)
+        if prefill:
+            build_fan(graph)
+        for idx in range(len(graph.nodes)):
+            slate_for_node(graph, idx)
+        probes = list(graph.registry.reps)
+        reports.append([verify_pair(pair, graph, probes) for pair in graph.nodes])
+    assert reports[0] == reports[1]
+    assert all(r["pass"] for r in reports[0])
+
+
+def test_repeated_decompose_reuses_its_answer(monkeypatch):
+    q = parse_algebra(A3_REL_TEXT)
+    p1 = projective(q, 1)
+    bundle = direct_sum(q, [p1, simple(q, 3), simple(q, 3)])
+    first = decompose(bundle)
+    splits = []
+    real = modules._try_split
+
+    def counting(m, phi):
+        splits.append(m)
+        return real(m, phi)
+
+    monkeypatch.setattr(modules, "_try_split", counting)
+    again = decompose(direct_sum(q, [p1, simple(q, 3), simple(q, 3)]))
+    assert again == first and again is not first
+    assert splits == []
+    again.clear()  # a fresh list: the memo is untouched
+    assert decompose(bundle) == first
+    assert decompose(p1) == [(p1, 1)]
+
+
+def test_cached_hom_basis_matrices_are_read_only(a3_rel):
+    (f,) = hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))
+    with pytest.raises(ValueError):
+        f.vertex_maps[1][0, 0] = 7
+    assert hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))[0].vertex_maps[1][0, 0] == 1

@@ -322,6 +322,18 @@ def test_g_matrix_unimodular(corpus_graphs):
             assert linalg.equal(prod, linalg.eye(graph.algebra.n))
 
 
+def test_g_and_c_matrices_memoised_read_only(a3_rel_graph):
+    q = a3_rel_graph.algebra
+    for pair in a3_rel_graph.nodes:
+        # a rebuilt pair over equal (hence interned) modules hits the memo
+        rebuilt = TauPair(q, reversed(pair.m_parts), reversed(pair.p_parts))
+        for fn in (g_matrix, c_matrix):
+            m = fn(pair)
+            assert fn(rebuilt) is m
+            with pytest.raises(ValueError):
+                m[0, 0] = 7
+
+
 def test_g_matrix_requires_tilting(a3_rel):
     with pytest.raises(ValueError):
         g_matrix(TauPair(a3_rel, (projective(a3_rel, 1),), ()))
