@@ -8,7 +8,9 @@ their leading path under the length-then-name lexicographic path order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +34,47 @@ class Arrow:
     target: int
 
 
+def memoised(fn):
+    """Memoise ``fn`` in the ``_memo`` dict of the algebra of its first
+    argument (that argument itself when it is a :class:`BoundQuiver`, else
+    its ``algebra``).
+
+    The key is ``(fn, *args)`` with the arguments bound and defaults applied,
+    so every spelling of one call shares one entry, and a call that is
+    already positional and complete costs one dict lookup.  A call that
+    raises stores nothing.  Arguments must be hashable, and equal arguments
+    must mean equal answers: interned representations and exchange graphs
+    key by identity, tau-tilting pairs by their parts.
+    """
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        first = args[0]
+        memo = (first if isinstance(first, BoundQuiver) else first.algebra)._memo
+        key = (fn, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        # setdefault: a thread that lost a race adopts the winner's answer
+        return memo.setdefault(key, fn(*args))
+
+    return wrapper
+
+
 class BoundQuiver:
     """A finite-dimensional bound quiver algebra with a computed path basis.
 
-    Instances are immutable after construction.  All mutation of internal
-    caches is append-only memoisation of pure results, so sharing across
-    threads or reusing one instance for many computations is safe.
+    Instances are immutable after construction.  The only mutable state is
+    ``_interned`` and ``_memo``, both append-only stores of pure results, so
+    sharing across threads or reusing one instance for many computations is
+    safe.
     """
 
     def __init__(self, n_vertices: int, arrows: list[Arrow],
@@ -66,22 +103,11 @@ class BoundQuiver:
         self._check_nilpotent()
         # every Representation over this algebra, keyed by its exact value
         # (dims plus every arrow-matrix entry): building an equal value
-        # returns the same object, so a representation uid names a value
+        # returns the same object, so a representation object names a value
         self._interned: dict = {}
-        # memo caches used by higher layers, keyed by representation uids
-        # (hence by value); _submodule_cache and _decompose_cache by (uid,
-        # prime) and (uid, seed), _g_cache and _c_cache by the uids of a
-        # pair's module parts plus its projective vertices
-        self._hom_cache: dict = {}
-        self._tau_cache: dict = {}
-        self._submodule_cache: dict = {}
-        self._decompose_cache: dict = {}
-        self._proj_cache: dict = {}
-        self._inj_cache: dict = {}
-        self._pres_cache: dict = {}
-        self._g_cache: dict = {}
-        self._c_cache: dict = {}
-        self._graph_cache: dict = {}
+        # every @memoised answer over this algebra, keyed by (function,
+        # *bound arguments); interned modules key by identity, hence by value
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------
     # paths
@@ -451,6 +477,8 @@ def parse_algebra(text: str, path_cap: int = DEFAULT_PATH_CAP) -> BoundQuiver:
                 i += 1
                 continue
             if _COEFF_RE.match(tok) and i + 1 < len(tokens) and not _COEFF_RE.match(tokens[i + 1]):
+                if int(tok.partition("/")[2] or 1) == 0:
+                    raise AlgebraError(f"line {lineno}: zero denominator in {tok!r}")
                 coeff = sign * Fraction(tok)
                 path_tok = tokens[i + 1]
                 i += 2
@@ -466,7 +494,4 @@ def parse_algebra(text: str, path_cap: int = DEFAULT_PATH_CAP) -> BoundQuiver:
             raise AlgebraError(f"line {lineno}: relation cancels to zero")
         relations.append(combo)
 
-    try:
-        return BoundQuiver(n, arrows, relations, path_cap=path_cap)
-    except AlgebraError:
-        raise
+    return BoundQuiver(n, arrows, relations, path_cap=path_cap)

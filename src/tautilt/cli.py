@@ -154,7 +154,7 @@ def cmd_enumerate(q, args) -> int:
                  "pair\tG\tC\tpositive_c_vectors\tB_plus\ttorsion_generators"]
         for i, pair in enumerate(graph.nodes):
             if graph.complete:
-                slate = slate_for_node(graph, i, seed=args.seed)
+                slate = slate_for_node(graph, i)
                 plus_str = _fmt_vecs([b.dims for b in b_plus(slate)])
                 gens = [rep for rep in graph.registry.reps if fac_contains(pair, rep)]
                 gens_str = _fmt_vecs([g.dims for g in gens])
@@ -180,12 +180,11 @@ def cmd_verify(q, args) -> int:
         return EXIT_TRUNCATED
     bricks = {}
     for i in range(len(graph.nodes)):  # registers every brick before probing
-        slate = slate_for_node(graph, i, seed=args.seed)
+        slate = slate_for_node(graph, i)
         for b in slate.bricks:
             bricks[graph.registry.id_of(b)] = b
     probes = _probes_for(graph)
-    reports = [verify_pair(pair, graph, probes, prime=args.prime, seed=args.seed)
-               for pair in graph.nodes]
+    reports = [verify_pair(pair, graph, probes, prime=args.prime) for pair in graph.nodes]
     brick_reports = []
     for bid in sorted(bricks):
         b = bricks[bid]
@@ -214,7 +213,7 @@ def cmd_fan(q, args) -> int:
         return EXIT_INPUT
     graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
     try:
-        fan = build_fan(graph, prime=args.prime, seed=args.seed)
+        fan = build_fan(graph, prime=args.prime)
     except EnumerationError as exc:
         if graph.complete:
             raise
@@ -233,7 +232,7 @@ def cmd_fan(q, args) -> int:
 def cmd_graph(q, args) -> int:
     graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
     try:
-        dot = emit_dot(graph, seed=args.seed)
+        dot = emit_dot(graph)
     except EnumerationError as exc:
         if graph.complete:
             raise

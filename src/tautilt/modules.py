@@ -4,11 +4,12 @@ A representation is an assignment of exact rational vector spaces to vertices
 and matrices to arrows; it models a finite-dimensional right module.  All
 operations are pure: they take immutable representations and return
 representations interned by value, so an equal result is the object built
-before.  Caching lives on the algebra object and only memoises pure results.
+before.  Pure answers are memoised per algebra by ``algebra.memoised``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiver, Combo, Path
+from .algebra import BoundQuiver, Combo, Path, memoised
 
 _uid_counter = itertools.count(1)
 
@@ -36,12 +37,13 @@ class Representation:
     arrow.  Instances are immutable and interned by value: building a
     representation whose dims and arrow matrices equal those of one already
     built over the same algebra returns that object, so equal values are the
-    same object and every memo keyed by ``_uid`` serves rebuilt modules.
+    same object and every memo, keyed by the object itself, serves rebuilt
+    modules.
     Isomorphic but unequal values stay distinct objects.  ``check=True``
     verifies the relations on every call, a hit included.
     """
 
-    __slots__ = ("algebra", "dims", "arrow_maps", "_uid", "_fp")
+    __slots__ = ("algebra", "dims", "arrow_maps", "_uid")
 
     def __new__(cls, algebra: BoundQuiver, dims, arrow_maps, check: bool = True):
         dims = tuple(int(d) for d in dims)
@@ -64,8 +66,7 @@ class Representation:
             rep.algebra = algebra
             rep.dims = dims
             rep.arrow_maps = {name: linalg.frozen(m.copy()) for name, m in maps.items()}
-            rep._uid = next(_uid_counter)
-            rep._fp = None
+            rep._uid = next(_uid_counter)  # a serial number; no memo keys by it
             if check:
                 rep._check_relations()
             # setdefault: a thread that lost a race to intern this value
@@ -102,18 +103,17 @@ class Representation:
     def dim_label(self) -> str:
         return "(" + ",".join(str(d) for d in self.dims) + ")"
 
+    @memoised
     def fingerprint(self) -> str:
-        if self._fp is None:
-            h = hashlib.sha256()
-            h.update(repr(self.dims).encode())
-            for a in self.algebra.arrows:
-                m = self.arrow_maps[a.name]
-                r, _ = linalg.rref(m) if m.size else (m, [])
-                h.update(a.name.encode())
-                h.update(repr([(Fraction(x).numerator, Fraction(x).denominator)
-                               for x in r.flat]).encode())
-            self._fp = h.hexdigest()
-        return self._fp
+        h = hashlib.sha256()
+        h.update(repr(self.dims).encode())
+        for a in self.algebra.arrows:
+            m = self.arrow_maps[a.name]
+            r, _ = linalg.rref(m) if m.size else (m, [])
+            h.update(a.name.encode())
+            h.update(repr([(Fraction(x).numerator, Fraction(x).denominator)
+                           for x in r.flat]).encode())
+        return h.hexdigest()
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims})"
@@ -197,13 +197,11 @@ def simple(q: BoundQuiver, i: int) -> Representation:
     return Representation(q, dims, {}, check=False)
 
 
+@memoised
 def projective(q: BoundQuiver, i: int) -> Representation:
     """Indecomposable projective at vertex i, spanned by basis paths starting at i."""
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
-    cached = q._proj_cache.get(i)
-    if cached is not None:
-        return cached
     bases = {v: q.basis_by_pair.get((i, v), []) for v in range(1, q.n + 1)}
     index = {v: {p: k for k, p in enumerate(bases[v])} for v in bases}
     dims = [len(bases[v]) for v in range(1, q.n + 1)]
@@ -215,18 +213,14 @@ def projective(q: BoundQuiver, i: int) -> Representation:
             for r_path, c in nf.items():
                 m[index[a.target][r_path], col] = c
         maps[a.name] = m
-    rep = Representation(q, dims, maps)
-    q._proj_cache[i] = rep
-    return rep
+    return Representation(q, dims, maps)
 
 
+@memoised
 def injective(q: BoundQuiver, i: int) -> Representation:
     """Indecomposable injective at vertex i, dual to paths ending at i."""
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
-    cached = q._inj_cache.get(i)
-    if cached is not None:
-        return cached
     bases = {v: q.basis_by_pair.get((v, i), []) for v in range(1, q.n + 1)}
     index = {v: {p: k for k, p in enumerate(bases[v])} for v in bases}
     dims = [len(bases[v]) for v in range(1, q.n + 1)]
@@ -243,9 +237,7 @@ def injective(q: BoundQuiver, i: int) -> Representation:
                 if col is not None:
                     m[row, col] = c
         maps[a.name] = m
-    rep = Representation(q, dims, maps)
-    q._inj_cache[i] = rep
-    return rep
+    return Representation(q, dims, maps)
 
 
 def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:
@@ -263,6 +255,7 @@ def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:
 # Hom spaces
 # ----------------------------------------------------------------------
 
+@memoised
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     """A basis of Hom(M, N), solved from the exact intertwiner equations.
 
@@ -271,10 +264,6 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     q = m.algebra
-    key = (m._uid, n._uid)
-    cached = q._hom_cache.get(key)
-    if cached is not None:
-        return cached
     nv = q.n
     offsets = []
     total = 0
@@ -282,7 +271,6 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
     if total == 0:
-        q._hom_cache[key] = []
         return []
     rows = []  # one sparse {unknown: coefficient} row per entry of N_a X_i - X_j M_a
     for a in q.arrows:
@@ -309,7 +297,6 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         vm = [linalg.frozen(basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b]
                             .reshape(n.dims[v], m.dims[v]).copy()) for v in range(nv)]
         out.append(ModuleMap(m, n, vm, check=False))
-    q._hom_cache[key] = out
     return out
 
 
@@ -472,19 +459,14 @@ def _projective_cover_data(m: Representation):
     return tuple(vertices), p0, cover
 
 
+@memoised
 def minimal_projective_presentation(m: Representation) -> ProjectivePresentation:
-    q = m.algebra
-    cached = q._pres_cache.get(m._uid)
-    if cached is not None:
-        return cached
     p0_vertices, p0, cover = _projective_cover_data(m)
     omega, omega_incl = kernel(cover)
     p1_vertices, p1, cover1 = _projective_cover_data(omega)
     pres_map = omega_incl.compose(cover1)
-    pres = ProjectivePresentation(p1_vertices, p0_vertices, p1, p0,
+    return ProjectivePresentation(p1_vertices, p0_vertices, p1, p0,
                                   pres_map, cover, omega, omega_incl)
-    q._pres_cache[m._uid] = pres
-    return pres
 
 
 def g_vector(m: Representation, shifted: bool = False) -> tuple[int, ...]:
@@ -581,22 +563,17 @@ def nakayama_on_map(q: BoundQuiver, source_vertices: tuple[int, ...],
     return ModuleMap(src, tgt, vm, check=False)
 
 
+@memoised
 def tau(m: Representation) -> Representation:
     """Auslander-Reiten translate via the Nakayama functor on the minimal
     presentation; projectives (and projective summands) are killed."""
     q = m.algebra
-    cached = q._tau_cache.get(m._uid)
-    if cached is not None:
-        return cached
     pres = minimal_projective_presentation(m)
     if not pres.p1_vertices:
-        result = zero_rep(q)
-    else:
-        entries = _presentation_path_data(pres)
-        nu = nakayama_on_map(q, pres.p1_vertices, pres.p0_vertices, entries)
-        result, _ = kernel(nu)
-    q._tau_cache[m._uid] = result
-    return result
+        return zero_rep(q)
+    entries = _presentation_path_data(pres)
+    nu = nakayama_on_map(q, pres.p1_vertices, pres.p0_vertices, entries)
+    return kernel(nu)[0]
 
 
 def ar_pairing(m: Representation, n: Representation) -> int:
@@ -734,15 +711,11 @@ def _derived_rng(seed: int, *reps: Representation) -> random.Random:
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
 
-_FACTOR_CACHE: dict[tuple, list[tuple[list[Fraction], int]]] = {}
+@functools.cache
+def _factor_rational_poly(coeffs: tuple[Fraction, ...]) -> list[tuple[list[Fraction], int]]:
+    """Irreducible factorisation over the rationals; coeffs low-to-high.
 
-
-def _factor_rational_poly(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Irreducible factorisation over the rationals; coeffs low-to-high."""
-    key = tuple(coeffs)
-    cached = _FACTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Memoised process-wide, as it depends on no algebra; the answer is shared."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -753,7 +726,6 @@ def _factor_rational_poly(coeffs: list[Fraction]) -> list[tuple[list[Fraction], 
     for fac, mult in factors:
         fac_coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
         out.append((fac_coeffs, int(mult)))
-    _FACTOR_CACHE[key] = out
     return out
 
 
@@ -775,7 +747,7 @@ def _poly_on_map(coeffs: list[Fraction], phi: ModuleMap) -> ModuleMap:
 def _try_split(m: Representation, phi: ModuleMap) -> list[Representation] | None:
     total = linalg.block_diag([phi.vertex_maps[v] for v in range(m.algebra.n)])
     mp = linalg.min_poly(total)
-    factors = _factor_rational_poly(mp)
+    factors = _factor_rational_poly(tuple(mp))
     if len(factors) < 2:
         return None
     parts = []
@@ -858,7 +830,7 @@ def _end_quotient_is_field(endos: list[ModuleMap], rng: random.Random) -> bool:
         poly = linalg.min_poly(lbar)
         if len(poly) - 1 != semis_dim:
             continue  # not a primitive element; resample
-        factors = _factor_rational_poly(poly)
+        factors = _factor_rational_poly(tuple(poly))
         if len(factors) == 1 and factors[0][1] == 1:
             return True
     return False
@@ -894,12 +866,13 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
     depends only on the value of M and the seed, so the answer is memoised
     per (module, seed); each call returns a fresh list.
     """
+    return list(_decompose(m, seed))
+
+
+@memoised
+def _decompose(m: Representation, seed: int) -> tuple[tuple[Representation, int], ...]:
     if m.is_zero():
-        return []
-    key = (m._uid, seed)
-    cached = m.algebra._decompose_cache.get(key)
-    if cached is not None:
-        return list(cached)
+        return ()
     pieces = _decompose_rec(m, seed)
     groups: list[tuple[Representation, int]] = []
     for piece in pieces:
@@ -910,8 +883,7 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
         else:
             groups.append((piece, 1))
     groups.sort(key=lambda t: canonical_sort_key(t[0]))
-    m.algebra._decompose_cache[key] = tuple(groups)
-    return groups
+    return tuple(groups)
 
 
 def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
@@ -959,7 +931,7 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
         return False
     if m.total_dim == 0:
         return True
-    if m._uid == n._uid:
+    if m is n:
         return True
     maps = hom_basis(m, n)
     if not maps:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .algebra import memoised
 from .modules import (
     Representation,
     _in_fac,
@@ -151,20 +152,15 @@ def submodule_dim_vectors(x: Representation, p: int = 2) -> set[tuple[int, ...]]
     entries p-integral.  Answers are memoised per (module, prime); a probe that
     raises is never cached, so it raises again on every call.
     """
-    q = x.algebra
     d = x.total_dim
     if p ** d > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"{p}^{d} exceeds the submodule enumeration budget")
-    key = (x._uid, p)
-    cached = q._submodule_cache.get(key)
-    if cached is None:
-        cached = frozenset(_enumerate_submodule_dims(x, p))
-        q._submodule_cache[key] = cached
-    return set(cached)
+    return set(_enumerate_submodule_dims(x, p))
 
 
-def _enumerate_submodule_dims(x: Representation, p: int) -> set[tuple[int, ...]]:
-    """The oracle proper, uncached; shares no code with the engine."""
+@memoised
+def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int, ...]]:
+    """The oracle proper; shares no code with the engine but the memo."""
     q = x.algebra
     d = x.total_dim
     arrow_p = {}
@@ -237,7 +233,7 @@ def _enumerate_submodule_dims(x: Representation, p: int) -> set[tuple[int, ...]]
                     new.add(key)
         subs |= new
         frontier = new
-    return {tuple(len(s[v]) for v in range(q.n)) for s in subs}
+    return frozenset(tuple(len(s[v]) for v in range(q.n)) for s in subs)
 
 
 def is_semistable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
@@ -383,12 +379,10 @@ def b_plus(slate: BrickSlate) -> list[Representation]:
     return [slate.bricks[r] for r in slate.positive_slots()]
 
 
-def slate_for_node(graph: ExchangeGraph, idx: int, seed: int = 0) -> BrickSlate:
-    slate = graph._slates.get(idx)
-    if slate is None:
-        slate = brick_slate(graph.nodes[idx], graph=graph, seed=seed)
-        graph._slates[idx] = slate
-    return slate
+@memoised
+def slate_for_node(graph: ExchangeGraph, idx: int) -> BrickSlate:
+    """The slate of node ``idx``, under the seed the graph was enumerated with."""
+    return brick_slate(graph.nodes[idx], graph=graph, seed=graph.seed)
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +468,7 @@ def verify_facm_theorem(slate: BrickSlate, probes) -> dict:
     return report
 
 
-def semibrick_to_pair(bricks, graph: ExchangeGraph, seed: int = 0):
+def semibrick_to_pair(bricks, graph: ExchangeGraph):
     """The unique node whose positive bricks match the given semibrick, or
     None when the generated torsion class is not among the enumerated ones."""
     for b in bricks:
@@ -490,7 +484,7 @@ def semibrick_to_pair(bricks, graph: ExchangeGraph, seed: int = 0):
     registry = graph.registry
     want = sorted(registry.id_of(b) for b in blist)
     for idx in range(len(graph.nodes)):
-        slate = slate_for_node(graph, idx, seed=seed)
+        slate = slate_for_node(graph, idx)
         have = sorted(registry.id_of(b) for b in b_plus(slate))
         if have == want:
             return graph.nodes[idx]
@@ -525,11 +519,10 @@ def self_extension_witness(brick: Representation, candidates,
 # per-node verification report
 # ----------------------------------------------------------------------
 
-def verify_pair(pair: TauPair, graph: ExchangeGraph, probes,
-                prime: int = 2, seed: int = 0) -> dict:
+def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> dict:
     """Run every mechanical check for one node and report pass/fail."""
     idx = graph.node_index(pair)
-    slate = slate_for_node(graph, idx, seed=seed)
+    slate = slate_for_node(graph, idx)
     q = pair.algebra
     c = c_matrix(pair)
     report: dict = {

@@ -10,12 +10,12 @@ endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiver
+from .algebra import BoundQuiver, memoised
 from .modules import (
     Representation,
     _in_fac,
@@ -49,7 +49,8 @@ class TauPair:
     """A basic pair (M, P): indecomposable module summands plus projective
     summands recorded by vertex.  Summands are kept in canonical order:
     modules by descending dimension-vector lex (hash tiebreak), projective
-    vertices ascending."""
+    vertices ascending.  Pairs over equal (hence interned) parts are equal
+    and hash alike, so they share their memo entries."""
 
     __slots__ = ("algebra", "m_parts", "p_parts")
 
@@ -62,6 +63,13 @@ class TauPair:
                 raise ValueError(f"projective vertex {j} out of range")
         if len(set(self.p_parts)) != len(self.p_parts):
             raise ValueError("repeated projective summand")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TauPair) and self.algebra is other.algebra
+                and self.m_parts == other.m_parts and self.p_parts == other.p_parts)
+
+    def __hash__(self) -> int:
+        return hash((self.m_parts, self.p_parts))
 
     @property
     def n_summands(self) -> int:
@@ -87,7 +95,7 @@ class TauPair:
         return f"TauPair{self.descriptor()}"
 
 
-def is_tau_rigid_pair(m: Representation, p: Representation, seed: int = 0) -> bool:
+def is_tau_rigid_pair(m: Representation, p: Representation) -> bool:
     """Rigidity test for a (module, projective) pair of representations."""
     if not p.is_zero() and not is_projective_rep(p):
         raise ValueError("second member of the pair is not projective")
@@ -136,22 +144,13 @@ def remove_summand(pair: TauPair, r: int) -> TauPair:
 # G- and C-matrices
 # ----------------------------------------------------------------------
 
-def _pair_memo_key(pair: TauPair) -> tuple:
-    """The uids of the module parts (interned, so their values) and the
-    projective vertices: equal keys mean equal pairs."""
-    return tuple(x._uid for x in pair.m_parts), pair.p_parts
-
-
+@memoised
 def g_matrix(pair: TauPair) -> np.ndarray:
     """Columns are g-vectors of the module slots and negated g-vectors of the
     projective slots, in canonical slot order.  The determinant is +-1.
     Memoised per pair; the read-only result is shared by every caller."""
     if not pair.is_tilting():
         raise ValueError("g-matrix is defined for pairs with n summands")
-    key = _pair_memo_key(pair)
-    cached = pair.algebra._g_cache.get(key)
-    if cached is not None:
-        return cached
     n = pair.algebra.n
     cols = []
     for kind, payload in pair.slots():
@@ -166,21 +165,16 @@ def g_matrix(pair: TauPair) -> np.ndarray:
     d = linalg.det(g)
     if d not in (1, -1):
         raise TheoremViolationError(f"g-matrix determinant is {d}, expected +-1")
-    pair.algebra._g_cache[key] = linalg.frozen(g)
-    return g
+    return linalg.frozen(g)
 
 
+@memoised
 def c_matrix(pair: TauPair) -> np.ndarray:
     """Exact inverse-transpose of the g-matrix; integer entries.  Memoised
     per pair; the read-only result is shared by every caller."""
-    key = _pair_memo_key(pair)
-    cached = pair.algebra._c_cache.get(key)
-    if cached is not None:
-        return cached
     c = linalg.inverse(g_matrix(pair)).T.copy()
     linalg.as_int_matrix(c)  # integrality assertion
-    pair.algebra._c_cache[key] = linalg.frozen(c)
-    return c
+    return linalg.frozen(c)
 
 
 def sign_coherence(c: np.ndarray) -> list[str]:
@@ -288,11 +282,11 @@ class ModuleRegistry:
         self.seed = seed
         self.reps: list[Representation] = []
         self._by_dims: dict[tuple, list[int]] = {}
-        self._by_uid: dict[int, int] = {}
+        self._by_handle: dict[Representation, int] = {}
 
     def find(self, rep: Representation) -> int | None:
         """Id of the class of rep, or None; never registers anything."""
-        idx = self._by_uid.get(rep._uid)
+        idx = self._by_handle.get(rep)
         if idx is not None:
             return idx
         for idx in self._by_dims.get(rep.dims, []):
@@ -307,7 +301,7 @@ class ModuleRegistry:
             idx = len(self.reps)
             self.reps.append(rep)
             self._by_dims.setdefault(rep.dims, []).append(idx)
-            self._by_uid[rep._uid] = idx
+            self._by_handle[rep] = idx
         return idx
 
     def handle(self, rep: Representation) -> Representation:
@@ -329,12 +323,13 @@ class Edge:
     c_vector: tuple[int, ...]      # positive c-vector of the source at the slot
 
 
-@dataclass
+@dataclass(eq=False)
 class ExchangeGraph:
     """Nodes and edges of the exchange graph, indexed once by pair key: each
     node by its key, and each edge by the key of the almost pair that its
     source minus its slot is (the edge joins that almost pair's two
-    completions, Fac-larger first)."""
+    completions, Fac-larger first).  Graphs compare and hash by identity, so
+    a graph keys the memo of its per-node answers."""
     algebra: BoundQuiver
     nodes: list[TauPair]
     edges: list[Edge]
@@ -344,7 +339,6 @@ class ExchangeGraph:
     max_nodes: int = DEFAULT_MAX_NODES
     max_dim: int = DEFAULT_MAX_DIM
     fingerprint: str = ""
-    _slates: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         part_ids = [[self.registry.find(x) for x in node.m_parts] for node in self.nodes]
@@ -387,6 +381,7 @@ class ExchangeGraph:
         return e
 
 
+@memoised
 def enumerate_exchange_graph(q: BoundQuiver,
                              max_nodes: int = DEFAULT_MAX_NODES,
                              max_dim: int = DEFAULT_MAX_DIM,
@@ -396,14 +391,11 @@ def enumerate_exchange_graph(q: BoundQuiver,
     Nodes are deduplicated through a canonical module registry; the complete
     flag is set when the closure terminated inside the limits, in which case
     the graph is n-regular and connected.  Exceeding a limit yields a
-    truncated graph (flag unset) rather than an error.
+    truncated graph (flag unset) rather than an error.  Memoised per
+    (algebra, limits, seed), so every caller shares one graph.
     """
     if max_nodes < 1 or max_dim < 1:
         raise ValueError("limits must be positive")
-    cache_key = (max_nodes, max_dim, seed)
-    cached = q._graph_cache.get(cache_key)
-    if cached is not None:
-        return cached
     registry = ModuleRegistry(seed)
     start = TauPair(q, tuple(registry.handle(projective(q, i))
                              for i in range(1, q.n + 1)), ())
@@ -444,7 +436,6 @@ def enumerate_exchange_graph(q: BoundQuiver,
             if graph.degree(i) != q.n:
                 raise TheoremViolationError(
                     f"complete graph is not {q.n}-regular at node {i}")
-    q._graph_cache[cache_key] = graph
     return graph
 
 

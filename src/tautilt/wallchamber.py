@@ -78,8 +78,8 @@ def wall_of_brick(brick: Representation, p: int = 2) -> Wall:
     return Wall(dims, dims, tuple(facets))
 
 
-def shared_wall(pair1: TauPair, pair2: TauPair, graph: ExchangeGraph,
-                seed: int = 0) -> tuple[tuple[int, ...], Representation]:
+def shared_wall(pair1: TauPair, pair2: TauPair,
+                graph: ExchangeGraph) -> tuple[tuple[int, ...], Representation]:
     """Label of the edge between two adjacent nodes: the positive c-vector of
     the Fac-larger node and the brick at the exchanged slot.  The first
     argument must be the Fac-larger endpoint."""
@@ -87,7 +87,7 @@ def shared_wall(pair1: TauPair, pair2: TauPair, graph: ExchangeGraph,
     i2 = graph.node_index(pair2)
     for e in graph.edges:
         if (e.src, e.dst) == (i1, i2):
-            slate = slate_for_node(graph, i1, seed=seed)
+            slate = slate_for_node(graph, i1)
             return e.c_vector, slate.bricks[e.slot]
         if (e.src, e.dst) == (i2, i1):
             raise ValueError("arguments are ordered against the Fac inclusion; "
@@ -95,13 +95,13 @@ def shared_wall(pair1: TauPair, pair2: TauPair, graph: ExchangeGraph,
     raise ValueError("nodes are not adjacent in the exchange graph")
 
 
-def build_fan(graph: ExchangeGraph, prime: int = 2, seed: int = 0) -> Fan:
+def build_fan(graph: ExchangeGraph, prime: int = 2) -> Fan:
     """Chambers for every node and deduplicated walls for every brick."""
     chambers = []
     wall_by_brick: dict[int, Wall] = {}
     for idx, pair in enumerate(graph.nodes):
         chambers.append(chamber_of_pair(pair, pair_id=idx))
-        slate = slate_for_node(graph, idx, seed=seed)
+        slate = slate_for_node(graph, idx)
         for b in slate.bricks:
             bid = graph.registry.id_of(b)
             if bid not in wall_by_brick:
@@ -115,7 +115,7 @@ def build_fan(graph: ExchangeGraph, prime: int = 2, seed: int = 0) -> Fan:
 # DOT
 # ----------------------------------------------------------------------
 
-def emit_dot(graph: ExchangeGraph, seed: int = 0) -> str:
+def emit_dot(graph: ExchangeGraph) -> str:
     """Deterministic DOT digraph; arrows run from the Fac-larger node and
     carry the positive c-vector and the brick dimension vector."""
     lines = ["digraph exchange {"]
@@ -123,7 +123,7 @@ def emit_dot(graph: ExchangeGraph, seed: int = 0) -> str:
     for idx, pair in enumerate(graph.nodes):
         lines.append(f'  n{idx} [label="{pair.descriptor()}"];')
     for e in sorted(graph.edges, key=lambda e: (e.src, e.slot)):
-        slate = slate_for_node(graph, e.src, seed=seed)
+        slate = slate_for_node(graph, e.src)
         brick = slate.bricks[e.slot]
         c_str = "(" + ",".join(str(x) for x in e.c_vector) + ")"
         b_str = "(" + ",".join(str(d) for d in brick.dims) + ")"

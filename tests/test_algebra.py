@@ -99,6 +99,14 @@ def test_unknown_arrow_rejected():
     assert "line 3" in str(exc.value)
 
 
+def test_zero_denominator_rejected():
+    for coeff in ("1/0", "-3/00"):
+        with pytest.raises(AlgebraError) as exc:
+            parse_algebra(f"vertices 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+                          f"relation {coeff} a*b")
+        assert "line 4" in str(exc.value) and "zero denominator" in str(exc.value)
+
+
 def test_syntax_errors_carry_line_numbers():
     with pytest.raises(AlgebraError) as exc:
         parse_algebra("vertices 2\narrow a 1 -> 2")

@@ -161,6 +161,14 @@ def test_non_admissible_algebra_exit(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_zero_denominator_exit(tmp_path, capsys):
+    f = tmp_path / "zero.alg"
+    f.write_text("vertices 3\narrow a: 1 -> 2\narrow b: 2 -> 3\nrelation 1/0 a*b\n")
+    code, out, err = run_cli_err([str(f), "info"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unwritable_output_exit(a3_rel_file, tmp_path, capsys):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli_err([a3_rel_file, "info", "-o", str(target)], capsys)

@@ -664,3 +664,20 @@ def test_cached_hom_basis_matrices_are_read_only(a3_rel):
     with pytest.raises(ValueError):
         f.vertex_maps[1][0, 0] = 7
     assert hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))[0].vertex_maps[1][0, 0] == 1
+
+
+def test_decompose_spellings_share_one_memo_entry():
+    q = parse_algebra(A3_REL_TEXT)
+    m = direct_sum(q, [projective(q, 1), simple(q, 3)])
+    assert decompose(m) == decompose(m, seed=0) == decompose(m, 0)
+    helper = modules._decompose.__wrapped__
+    assert sum(key[0] is helper and key[1] is m for key in q._memo) == 1
+
+
+def test_raising_call_stores_nothing():
+    q = parse_algebra(A3_REL_TEXT)
+    before = len(q._memo)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            projective(q, 0)
+    assert len(q._memo) == before

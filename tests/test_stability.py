@@ -7,7 +7,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import enumerate_exchange_graph, linalg, parse_algebra
+from tautilt import enumerate_exchange_graph, linalg, parse_algebra, stability
 from tautilt.modules import (
     cokernel,
     direct_sum,
@@ -178,7 +178,8 @@ def test_verify_pair_reports_independent_of_oracle_cache():
         if prefill:
             for x in probes:
                 submodule_dim_vectors(x, 2)
-            assert len(q._submodule_cache) == len(probes)
+            oracle = stability._enumerate_submodule_dims.__wrapped__
+            assert sum(key[0] is oracle for key in q._memo) == len(probes)
         reports.append([verify_pair(pair, graph, probes) for pair in graph.nodes])
     assert reports[0] == reports[1]
     assert all(r["pass"] for r in reports[0])

@@ -12,6 +12,8 @@ from tautilt.modules import (
     hom_dim,
     is_isomorphic,
     projective,
+    rep_from_literal,
+    rep_to_literal,
     simple,
     tau,
     zero_rep,
@@ -325,11 +327,20 @@ def test_g_matrix_unimodular(corpus_graphs):
 def test_g_and_c_matrices_memoised_read_only(a3_rel_graph):
     q = a3_rel_graph.algebra
     for pair in a3_rel_graph.nodes:
-        # a rebuilt pair over equal (hence interned) modules hits the memo
+        # a rebuilt pair over equal (hence interned) modules hits the memo,
+        # and so does one whose modules are rebuilt from their values
         rebuilt = TauPair(q, reversed(pair.m_parts), reversed(pair.p_parts))
+        from_values = TauPair(
+            q, [rep_from_literal(q, rep_to_literal(x)) for x in pair.m_parts],
+            pair.p_parts)
         for fn in (g_matrix, c_matrix):
             m = fn(pair)
-            assert fn(rebuilt) is m
+            entries = len(q._memo)
+            for other in (rebuilt, from_values):
+                assert other is not pair and other == pair
+                assert hash(other) == hash(pair)
+                assert fn(other) is m
+            assert len(q._memo) == entries
             with pytest.raises(ValueError):
                 m[0, 0] = 7
 
@@ -337,6 +348,26 @@ def test_g_and_c_matrices_memoised_read_only(a3_rel_graph):
 def test_g_matrix_requires_tilting(a3_rel):
     with pytest.raises(ValueError):
         g_matrix(TauPair(a3_rel, (projective(a3_rel, 1),), ()))
+
+
+def test_raising_g_matrix_stores_nothing():
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    almost = TauPair(q, (projective(q, 1),), ())
+    before = len(q._memo)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            g_matrix(almost)
+    assert len(q._memo) == before
+
+
+def test_graph_spellings_share_one_memo_entry():
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    graph = enumerate_exchange_graph(q)
+    assert enumerate_exchange_graph(q, seed=0) is graph
+    assert enumerate_exchange_graph(
+        q, tautilting.DEFAULT_MAX_NODES, tautilting.DEFAULT_MAX_DIM, 0) is graph
+    enumerate_fn = tautilting.enumerate_exchange_graph.__wrapped__
+    assert sum(key[0] is enumerate_fn for key in q._memo) == 1
 
 
 def test_sign_coherence_classification():
