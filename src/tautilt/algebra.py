@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
+
 # A path is (source_vertex, tuple_of_arrow_names); trivial paths have no arrows.
 Path = tuple[int, tuple[str, ...]]
 # A combo is a linear combination of parallel paths.
@@ -325,10 +327,6 @@ class BoundQuiver:
         The images of the J^k descend and stay put once two agree, so J^k
         vanishes for some k exactly when it does for k = dim A.
         """
-        # a module-level import would load numpy ahead of the rest of the
-        # package, which raises the peak RSS of every run by about 1.3 MB
-        from . import linalg
-
         arrows = [(a.source, (a.name,)) for a in self.arrows]
         span = [{p: Fraction(1)} for p in arrows]  # relations have length >= 2
         for _ in range(self.dimension):
@@ -339,8 +337,8 @@ class BoundQuiver:
             reduced, pivots = linalg.rref(rows)
             if not pivots:
                 return
-            basis = [{p: x for p, x in zip(self.path_basis, reduced[i]) if x}
-                     for i in range(len(pivots))]
+            basis = [{p: x for p, x in zip(self.path_basis, row) if x}
+                     for row in reduced.rows[:len(pivots)]]
             span = [self.compose_combo(b, {a: Fraction(1)}) for b in basis for a in arrows]
         raise AlgebraError(
             "no power of the arrow ideal vanishes in the quotient; ideal not admissible")

@@ -17,6 +17,7 @@ from . import linalg
 from .algebra import AlgebraError, parse_algebra
 from .modules import direct_sum, ext1_dim, injective, projective
 from .stability import (
+    BRUTE_FORCE_BUDGET,
     BudgetExceeded,
     b_plus,
     fac_contains,
@@ -62,15 +63,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-nodes", type=int, default=10000)
     p.add_argument("--max-dim", type=int, default=30)
     p.add_argument("--prime", type=int, default=2,
-                   help="prime for the brute-force stability oracle")
+                   help="prime for the brute-force stability oracle, at most "
+                        f"{BRUTE_FORCE_BUDGET} (the oracle's budget)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     return p
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -247,8 +247,10 @@ def main(argv=None) -> int:
     if args.max_nodes < 1 or args.max_dim < 1:
         sys.stderr.write("error: limits must be positive\n")
         return EXIT_INPUT
-    if not _is_prime(args.prime):
-        sys.stderr.write(f"error: {args.prime} is not prime\n")
+    # above the budget p^1 already exceeds it, so the oracle could check nothing
+    if not (2 <= args.prime <= BRUTE_FORCE_BUDGET and _is_prime(args.prime)):
+        sys.stderr.write(f"error: --prime {args.prime} is not a prime in "
+                         f"[2, {BRUTE_FORCE_BUDGET}]\n")
         return EXIT_INPUT
     try:
         with open(args.file, encoding="utf-8") as fh:

@@ -1,8 +1,8 @@
-"""Exact rational linear algebra on numpy object arrays.
+"""Exact rational linear algebra on :class:`Matrix`, a dense list of rows.
 
-Every matrix handled here is a 2-d ``numpy.ndarray`` with ``dtype=object``
-whose entries are :class:`fractions.Fraction` (plain ints are accepted and
-normalised).  No floating point is used anywhere; all pivoting is exact.
+Every matrix handled here is a 2-d :class:`Matrix` whose entries are
+:class:`fractions.Fraction` or plain ints.  No floating point is used
+anywhere; all pivoting is exact.
 
 ``rref``, ``rank``, ``nullspace``, ``column_space``, ``solve`` and
 ``inverse`` share one kernel, :func:`_eliminate`: sparse rows (``{col:
@@ -17,22 +17,111 @@ intertwiner equations) are never built densely.
 from __future__ import annotations
 
 from fractions import Fraction
+import operator
+from itertools import chain
 from math import gcd, lcm
 
-import numpy as np
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def mat(rows) -> np.ndarray:
+class Matrix:
+    """An m x n matrix of exact scalars, held as a list of m rows.
+
+    Only what the package uses: ``a[i, j]`` reads and writes, block reads
+    ``a[r0:r1, c0:c1]``, ``@``, ``+``, ``-``, scalar ``*``, ``.T``, row-major
+    ``reshape``, ``copy``, ``tolist``, ``flat`` and ``size``; no broadcasting,
+    list indexing or 1-d vectors.  Operations return new matrices; a write
+    to a :func:`frozen` one raises ``ValueError``.
+    """
+
+    __slots__ = ("rows", "shape", "read_only")
+
+    def __init__(self, rows: list[list], n_cols: int):
+        self.rows = rows
+        self.shape = (len(rows), n_cols)
+        self.read_only = False
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def flat(self):
+        return chain.from_iterable(self.rows)
+
+    @property
+    def T(self) -> Matrix:
+        m, n = self.shape
+        rows = [list(col) for col in zip(*self.rows)] if m else [[] for _ in range(n)]
+        return Matrix(rows, m)
+
+    def __getitem__(self, key):
+        i, j = key
+        if isinstance(i, slice) and isinstance(j, slice):
+            return Matrix([row[j] for row in self.rows[i]], len(range(self.shape[1])[j]))
+        if isinstance(i, slice) or isinstance(j, slice):
+            raise TypeError("index a matrix with two ints or two slices")
+        return self.rows[i][j]
+
+    def __setitem__(self, key, value) -> None:
+        if self.read_only:
+            raise ValueError("assignment to a read-only matrix")
+        i, j = key
+        if isinstance(i, slice) or isinstance(j, slice):
+            raise TypeError("assign a single entry a[i, j]")
+        self.rows[i][j] = value
+
+    def __matmul__(self, other: Matrix) -> Matrix:
+        (_, k), (k2, n) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"matrix product of shapes {self.shape} and {other.shape}")
+        # skip zeros on both sides: the matrices here are mostly zero
+        terms = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * n
+            for x, row_terms in zip(row, terms):
+                if x:
+                    for j, y in row_terms:
+                        acc[j] += x * y
+            out.append(acc)
+        return Matrix(out, n)
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._entrywise(operator.add, other)
+
+    def __sub__(self, other: Matrix) -> Matrix:
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other: Matrix) -> Matrix:
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        return Matrix([list(map(op, r, s)) for r, s in zip(self.rows, other.rows)], self.shape[1])
+
+    def __mul__(self, scalar) -> Matrix:
+        return Matrix([[x * scalar for x in row] for row in self.rows], self.shape[1])
+
+    def reshape(self, m: int, n: int) -> Matrix:
+        if m * n != self.size:
+            raise ValueError(f"cannot reshape {self.shape} to {(m, n)}")
+        flat = list(self.flat)
+        return Matrix([flat[i * n:(i + 1) * n] for i in range(m)], n)
+
+    def copy(self) -> Matrix:
+        return Matrix(self.tolist(), self.shape[1])
+
+    def tolist(self) -> list[list]:
+        return [list(row) for row in self.rows]
+
+
+def mat(rows) -> Matrix:
     """Build an exact matrix from a nested sequence of ints/Fractions/strings."""
     data = [[_to_fraction(x) for x in row] for row in rows]
     n_cols = len(data[0]) if data else 0
-    out = np.empty((len(data), n_cols), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != n_cols:
-            raise ValueError("ragged rows in matrix literal")
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+    if any(len(row) != n_cols for row in data):
+        raise ValueError("ragged rows in matrix literal")
+    return Matrix(data, n_cols)
 
 
 def _to_fraction(x) -> Fraction:
@@ -43,36 +132,31 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[...] = Fraction(0)
-    return out
+def zeros(m: int, n: int) -> Matrix:
+    return Matrix([[_ZERO] * n for _ in range(m)], n)
 
 
-def eye(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+def eye(n: int) -> Matrix:
+    return Matrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: Matrix) -> Matrix:
     """``a`` itself, made read-only: a matrix shared through a memo."""
-    a.flags.writeable = False
+    a.read_only = True
     return a
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return all(x == 0 for x in a.flat)
+def is_zero(a: Matrix) -> bool:
+    return not any(a.flat)
 
 
-def equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
+def equal(a: Matrix, b: Matrix) -> bool:
+    return a.shape == b.shape and a.rows == b.rows
 
 
-def _rows_of(a: np.ndarray) -> list[dict]:
+def _rows_of(a: Matrix) -> list[dict]:
     """The nonzero entries of each row of ``a`` as ``{col: value}``."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a.tolist()]
+    return [{j: x for j, x in enumerate(row) if x} for row in a.rows]
 
 
 def _eliminate(rows: list[dict]) -> tuple[list[int], list[dict]]:
@@ -142,7 +226,7 @@ def _rational_rows(pivots: list[int], done: list[dict]) -> list[dict]:
             for p, row in zip(pivots, done)]
 
 
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form.
 
     Returns the RREF matrix and the list of pivot column indices.
@@ -150,22 +234,22 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     m, n = a.shape
     pivots, done = _eliminate(_rows_of(a))
     r = zeros(m, n)
-    for i, row in enumerate(_rational_rows(pivots, done)):
+    for out, row in zip(r.rows, _rational_rows(pivots, done)):
         for c, x in row.items():
-            r[i, c] = x
+            out[c] = x
     return r, pivots
 
 
-def rank(a: np.ndarray) -> int:
+def rank(a: Matrix) -> int:
     return len(_eliminate(_rows_of(a))[0])
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
+def nullspace(a: Matrix) -> Matrix:
     """Basis of the right kernel, returned as the columns of an n x k matrix."""
     return nullspace_of_rows(_rows_of(a), a.shape[1])
 
 
-def nullspace_of_rows(rows: list[dict], n: int) -> np.ndarray:
+def nullspace_of_rows(rows: list[dict], n: int) -> Matrix:
     """Right kernel of the n-column matrix whose rows are given sparsely.
 
     Each row is ``{col: value}``; absent columns are zero.  The basis is
@@ -177,21 +261,21 @@ def nullspace_of_rows(rows: list[dict], n: int) -> np.ndarray:
     k_of = {j: k for k, j in enumerate(free)}
     basis = zeros(n, len(free))
     for k, j in enumerate(free):
-        basis[j, k] = Fraction(1)
+        basis.rows[j][k] = _ONE
     for p, row in zip(pivots, _rational_rows(pivots, done)):
         for c, x in row.items():
             if c != p:
-                basis[p, k_of[c]] = -x
+                basis.rows[p][k_of[c]] = -x
     return basis
 
 
-def column_space(a: np.ndarray) -> np.ndarray:
+def column_space(a: Matrix) -> Matrix:
     """Basis of the column space: the pivot columns of ``a`` (m x r matrix)."""
     pivots, _ = _eliminate(_rows_of(a))
-    return a[:, pivots].copy()
+    return Matrix([[row[p] for p in pivots] for row in a.rows], len(pivots))
 
 
-def solve(a: np.ndarray, b: np.ndarray):
+def solve(a: Matrix, b: Matrix):
     """One exact solution X of A @ X = B, or None if the system is inconsistent.
 
     Free variables are set to zero.  B may be a matrix (solved column-wise in
@@ -210,11 +294,11 @@ def solve(a: np.ndarray, b: np.ndarray):
     for p, row in zip(pivots, _rational_rows(pivots, done)):
         for c, v in row.items():
             if c >= n:
-                x[p, c - n] = v
+                x.rows[p][c - n] = v
     return x
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
+def inverse(a: Matrix) -> Matrix:
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of a non-square matrix")
@@ -224,68 +308,75 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def det(a: np.ndarray) -> Fraction:
+def det(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    r = a.copy()
+    r = a.tolist()
     result = Fraction(1)
     for col in range(n):
         pivot = None
         for i in range(col, n):
-            if r[i, col] != 0:
+            if r[i][col] != 0:
                 pivot = i
                 break
         if pivot is None:
             return Fraction(0)
         if pivot != col:
-            r[[col, pivot]] = r[[pivot, col]]
+            r[col], r[pivot] = r[pivot], r[col]
             result = -result
-        result *= Fraction(r[col, col])
-        inv = Fraction(1) / Fraction(r[col, col])
+        result *= Fraction(r[col][col])
+        inv = Fraction(1) / Fraction(r[col][col])
         for i in range(col + 1, n):
-            if r[i, col] != 0:
-                f = r[i, col] * inv
+            if r[i][col] != 0:
+                f = r[i][col] * inv
                 for j in range(col, n):
-                    r[i, j] = r[i, j] - f * r[col, j]
+                    r[i][j] = r[i][j] - f * r[col][j]
     return result
 
 
-def hstack(blocks: list[np.ndarray], m: int) -> np.ndarray:
-    """Horizontal concatenation that tolerates zero-width blocks."""
+def hstack(blocks: list[Matrix], m: int) -> Matrix:
+    """Horizontal concatenation that tolerates zero-width blocks.
+
+    ``m`` is the height of the result only when every block has width zero;
+    otherwise the blocks set it."""
     blocks = [b for b in blocks if b.shape[1] > 0]
     if not blocks:
         return zeros(m, 0)
-    return np.concatenate(blocks, axis=1)
+    if len({b.shape[0] for b in blocks}) > 1:
+        raise ValueError("hstack of blocks with different heights")
+    return Matrix([list(chain.from_iterable(parts)) for parts in zip(*(b.rows for b in blocks))],
+                  sum(b.shape[1] for b in blocks))
 
 
-def vstack(blocks: list[np.ndarray], n: int) -> np.ndarray:
+def vstack(blocks: list[Matrix], n: int) -> Matrix:
+    """Vertical concatenation; ``n`` is the width only when every block is empty."""
     blocks = [b for b in blocks if b.shape[0] > 0]
     if not blocks:
         return zeros(0, n)
-    return np.concatenate(blocks, axis=0)
+    if len({b.shape[1] for b in blocks}) > 1:
+        raise ValueError("vstack of blocks with different widths")
+    return Matrix([list(row) for b in blocks for row in b.rows], blocks[0].shape[1])
 
 
-def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    m = sum(b.shape[0] for b in blocks)
+def block_diag(blocks: list[Matrix]) -> Matrix:
     n = sum(b.shape[1] for b in blocks)
-    out = zeros(m, n)
-    i = j = 0
+    rows = []
+    j = 0
     for b in blocks:
-        bi, bj = b.shape
-        out[i:i + bi, j:j + bj] = b
-        i += bi
+        bj = b.shape[1]
+        rows.extend([_ZERO] * j + row + [_ZERO] * (n - j - bj) for row in b.rows)
         j += bj
-    return out
+    return Matrix(rows, n)
 
 
-def left_nullspace(a: np.ndarray) -> np.ndarray:
+def left_nullspace(a: Matrix) -> Matrix:
     """Basis of the left kernel as the rows of a k x m matrix: K @ a = 0."""
     return nullspace(a.T).T
 
 
-def right_inverse(a: np.ndarray) -> np.ndarray:
+def right_inverse(a: Matrix) -> Matrix:
     """Right inverse of a full-row-rank matrix: a @ r = I."""
     m, _ = a.shape
     r = solve(a, eye(m))
@@ -294,42 +385,29 @@ def right_inverse(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def quotient_projection(sub_basis: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Projection q x m matrix onto a complement of the given column span.
-
-    The projection kills exactly the span of ``sub_basis`` and has full row
-    rank q = ambient_dim - rank(sub_basis).
-    """
-    if sub_basis.shape[0] != ambient_dim:
-        raise ValueError("subspace basis does not live in the ambient space")
-    return left_nullspace(sub_basis)
-
-
-def as_int_matrix(a: np.ndarray) -> list[list[int]]:
+def as_int_matrix(a: Matrix) -> list[list[int]]:
     """Convert an exact matrix with integer entries to nested python ints."""
     out = []
-    for i in range(a.shape[0]):
-        row = []
-        for j in range(a.shape[1]):
-            x = Fraction(a[i, j])
+    for i, row in enumerate(a.rows):
+        ints = []
+        for j, x in enumerate(row):
+            x = Fraction(x)
             if x.denominator != 1:
                 raise ValueError(f"non-integer entry {x} at ({i},{j})")
-            row.append(int(x))
-        out.append(row)
+            ints.append(int(x))
+        out.append(ints)
     return out
 
 
-def min_poly(a: np.ndarray) -> list[Fraction]:
+def min_poly(a: Matrix) -> list[Fraction]:
     """Coefficients (low to high degree, monic) of the minimal polynomial."""
     n = a.shape[0]
     if n == 0:
         return [Fraction(0), Fraction(1)]
     power = eye(n)
     stacked = zeros(n * n, 0)
-    powers = []
     for _ in range(n + 1):
         vec = power.reshape(n * n, 1)
-        powers.append(vec)
         candidate = hstack([stacked, vec], n * n)
         if rank(candidate) < candidate.shape[1]:
             coeffs = solve(stacked, vec)

@@ -17,8 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import BoundQuiver, Combo, Path, memoised
 
@@ -59,7 +57,7 @@ class Representation:
                 raise ValueError(f"arrow {a.name}: matrix shape {m.shape} does not match dims")
             maps[a.name] = m
         # the exact value; shapes follow from dims, so the entries concatenate
-        key = (dims, *(x for m in maps.values() for x in m.ravel().tolist()))
+        key = (dims, *(x for m in maps.values() for x in m.flat))
         rep = algebra._interned.get(key)
         if rep is None:
             rep = super().__new__(cls)
@@ -85,7 +83,7 @@ class Representation:
             if acc is not None and not linalg.is_zero(acc):
                 raise ValueError("arrow maps violate a defining relation")
 
-    def path_action(self, p: Path) -> np.ndarray:
+    def path_action(self, p: Path) -> linalg.Matrix:
         """Matrix of the right action of a path, vertex source -> vertex target."""
         src, names = p
         m = linalg.eye(self.dims[src - 1])
@@ -164,9 +162,8 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return all(linalg.is_zero(m) for m in self.vertex_maps)
 
-    def vectorize(self) -> np.ndarray:
-        cells = [m.reshape(m.size, 1) for m in self.vertex_maps if m.size]
-        return linalg.vstack(cells, 1) if cells else linalg.zeros(0, 1)
+    def vectorize(self) -> linalg.Matrix:
+        return linalg.vstack([m.reshape(m.size, 1) for m in self.vertex_maps], 1)
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.dims} -> {self.target.dims})"
@@ -275,7 +272,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     rows = []  # one sparse {unknown: coefficient} row per entry of N_a X_i - X_j M_a
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
-        na, ma = n.arrow_maps[a.name].tolist(), m.arrow_maps[a.name].tolist()
+        na, ma = n.arrow_maps[a.name].rows, m.arrow_maps[a.name].rows
         si, sj = m.dims[i], m.dims[j]
         for r, na_r in enumerate(na):
             for c in range(si):
@@ -294,8 +291,8 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     basis_cols = linalg.nullspace_of_rows(rows, total)
     out = []
     for b in range(basis_cols.shape[1]):
-        vm = [linalg.frozen(basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b]
-                            .reshape(n.dims[v], m.dims[v]).copy()) for v in range(nv)]
+        vm = [linalg.frozen(basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b:b + 1]
+                            .reshape(n.dims[v], m.dims[v])) for v in range(nv)]
         out.append(ModuleMap(m, n, vm, check=False))
     return out
 
@@ -330,7 +327,7 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 
 def _sub_representation(ambient: Representation,
-                        bases: list[np.ndarray]) -> tuple[Representation, ModuleMap]:
+                        bases: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
     q = ambient.algebra
     dims = [b.shape[1] for b in bases]
     maps = {}
@@ -347,7 +344,7 @@ def _sub_representation(ambient: Representation,
 
 
 def _quotient_representation(ambient: Representation,
-                             projections: list[np.ndarray]) -> tuple[Representation, ModuleMap]:
+                             projections: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
     q = ambient.algebra
     dims = [p.shape[0] for p in projections]
     right_invs = [linalg.right_inverse(p) if p.shape[0] else linalg.zeros(p.shape[1], 0)
@@ -362,7 +359,7 @@ def _quotient_representation(ambient: Representation,
 
 
 def sub_from_bases(ambient: Representation,
-                   bases: list[np.ndarray]) -> tuple[Representation, ModuleMap]:
+                   bases: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
     """Subrepresentation spanned vertexwise by the given column bases."""
     reduced = [linalg.column_space(b) for b in bases]
     return _sub_representation(ambient, reduced)
@@ -378,8 +375,7 @@ def radical(m: Representation) -> tuple[Representation, ModuleMap]:
     bases = []
     for v in range(q.n):
         blocks = [m.arrow_maps[a.name] for a in q.arrows if a.target - 1 == v]
-        stacked = linalg.hstack(blocks, m.dims[v]) if blocks else linalg.zeros(m.dims[v], 0)
-        bases.append(linalg.column_space(stacked))
+        bases.append(linalg.column_space(linalg.hstack(blocks, m.dims[v])))
     return _sub_representation(m, bases)
 
 
@@ -433,7 +429,7 @@ def _projective_cover_data(m: Representation):
     q = m.algebra
     top_rep, top_proj = top(m)
     vertices: list[int] = []
-    generators: list[np.ndarray] = []  # column vectors in M at the vertex
+    generators: list[linalg.Matrix] = []  # column vectors in M at the vertex
     for v in range(q.n):
         a_v = top_rep.dims[v]
         if a_v == 0:
@@ -594,9 +590,7 @@ def ext1_dim(x: Representation, y: Representation) -> int:
         return 0
     cols = [incl_composed.vectorize() for incl_composed in
             (f.compose(incl) for f in hom_basis(pres.p0, y))]
-    restricted = linalg.hstack(cols, hom_omega[0].vectorize().shape[0]) if cols else None
-    restricted_rank = linalg.rank(restricted) if restricted is not None else 0
-    return len(hom_omega) - restricted_rank
+    return len(hom_omega) - linalg.rank(linalg.hstack(cols, 0))
 
 
 # ----------------------------------------------------------------------
@@ -610,17 +604,17 @@ class Approximation:
     summands: tuple[Representation, ...]
 
 
-def minimal_right_approximation(n, x: Representation, seed: int = 0) -> Approximation:
+def minimal_right_approximation(n: list[Representation], x: Representation) -> Approximation:
     """Minimal right add(N)-approximation of X.
 
-    ``n`` may be a representation (decomposed internally) or a list of
-    indecomposable summands.  Every map N -> X factors through the result.
+    ``n`` lists the indecomposable summands of N.  Every map N -> X factors
+    through the result.
     Copies ``f_k: u_k -> X`` form a right approximation exactly when, for
     every summand type U, the composites ``f_k . h`` with ``h`` in
     ``hom_basis(U, u_k)`` span Hom(U, X); copies are pruned greedily, last
     first, while that span criterion still holds.
     """
-    summand_types = _as_summand_list(n, x.algebra, seed)
+    summand_types = list(n)
     copies: list[tuple[Representation, ModuleMap]] = []
     for u in summand_types:
         for f in hom_basis(u, x):
@@ -628,27 +622,20 @@ def minimal_right_approximation(n, x: Representation, seed: int = 0) -> Approxim
     return _prune_approximation(copies, summand_types, x, right=True)
 
 
-def minimal_left_approximation(x: Representation, n, seed: int = 0) -> Approximation:
-    """Minimal left add(N)-approximation of X; every map X -> N cofactors.
+def minimal_left_approximation(x: Representation, n: list[Representation]) -> Approximation:
+    """Minimal left add(N)-approximation of X, ``n`` listing the
+    indecomposable summands of N; every map X -> N cofactors.
 
     Dual span criterion: copies ``f_k: X -> u_k`` form a left approximation
     exactly when, for every summand type U, the composites ``h . f_k`` with
     ``h`` in ``hom_basis(u_k, U)`` span Hom(X, U).
     """
-    summand_types = _as_summand_list(n, x.algebra, seed)
+    summand_types = list(n)
     copies: list[tuple[Representation, ModuleMap]] = []
     for u in summand_types:
         for f in hom_basis(x, u):
             copies.append((u, f))
     return _prune_approximation(copies, summand_types, x, right=False)
-
-
-def _as_summand_list(n, q: BoundQuiver, seed: int) -> list[Representation]:
-    if isinstance(n, Representation):
-        if n.is_zero():
-            return []
-        return [rep for rep, _mult in decompose(n, seed=seed)]
-    return list(n)
 
 
 def _assemble_approx(copies, x: Representation, right: bool) -> ModuleMap:
@@ -771,7 +758,7 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _end_structure(endos: list[ModuleMap]) -> tuple[list[np.ndarray], np.ndarray]:
+def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.Matrix]:
     """Left-multiplication matrices of the endomorphism algebra and the
     coordinates of its radical (trace-form nullspace; valid in char 0)."""
     d = len(endos)
@@ -796,7 +783,7 @@ def _random_coefficients(rng: random.Random, k: int) -> list[Fraction]:
     return [Fraction(rng.randint(-9, 9)) for _ in range(k)]
 
 
-def _combination(maps: list[ModuleMap], coefs) -> list[np.ndarray]:
+def _combination(maps: list[ModuleMap], coefs) -> list[linalg.Matrix]:
     """Vertex matrices of the sum of ``c * f``; the maps share source and target."""
     vm = [mm * coefs[0] for mm in maps[0].vertex_maps]
     for f, c in zip(maps[1:], coefs[1:]):
@@ -836,7 +823,8 @@ def _end_quotient_is_field(endos: list[ModuleMap], rng: random.Random) -> bool:
     return False
 
 
-def _left_mult_matrix(coords: np.ndarray, structure: list[np.ndarray], d: int) -> np.ndarray:
+def _left_mult_matrix(coords: linalg.Matrix, structure: list[linalg.Matrix],
+                      d: int) -> linalg.Matrix:
     lm = linalg.zeros(d, d)
     for i in range(d):
         ci = coords[i, 0]
@@ -852,8 +840,8 @@ def end_radical_basis(m: Representation) -> list[ModuleMap]:
     if len(endos) <= 1:
         return []
     _, rad_cols = _end_structure(endos)
-    return [ModuleMap(m, m, _combination(endos, rad_cols[:, c]), check=False)
-            for c in range(rad_cols.shape[1])]
+    return [ModuleMap(m, m, _combination(endos, coefs), check=False)
+            for coefs in rad_cols.T.tolist()]
 
 
 def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import memoised
 from .modules import (
@@ -165,9 +163,7 @@ def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int,
     d = x.total_dim
     arrow_p = {}
     for a in q.arrows:
-        m = x.arrow_maps[a.name]
-        arrow_p[a.name] = [[_mod_p(m[i, j], p) for j in range(m.shape[1])]
-                           for i in range(m.shape[0])]
+        arrow_p[a.name] = [[_mod_p(y, p) for y in row] for row in x.arrow_maps[a.name].rows]
     offsets = []
     total = 0
     for v in range(q.n):
@@ -288,7 +284,7 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
             graph = enumerate_exchange_graph(q, seed=seed)
         e = graph.completion_edge(almost)
         exchanged = graph.nodes[e.src].slots()[e.slot][1]
-    approx = minimal_right_approximation(list(almost.m_parts), exchanged, seed=seed)
+    approx = minimal_right_approximation(list(almost.m_parts), exchanged)
     generator, _ = cokernel(approx.map)
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
@@ -333,7 +329,7 @@ class BrickSlate:
     """The bricks of a pair with the matrix identity data C = X D."""
     pair: TauPair
     bricks: tuple[Representation, ...]
-    x_matrix: np.ndarray
+    x_matrix: linalg.Matrix
     d_diagonal: tuple[int, ...]
 
     def positive_slots(self) -> list[int]:
@@ -350,10 +346,7 @@ def brick_slate(pair: TauPair, graph: ExchangeGraph | None = None,
         # bricks found become canonical registry handles ("bricks found"
         # belong to the probe pool alongside the rigid summands)
         bricks = tuple(graph.registry.handle(b) for b in bricks)
-    x = linalg.zeros(q.n, q.n)
-    for c, b in enumerate(bricks):
-        for i in range(q.n):
-            x[i, c] = b.dims[i]
+    x = linalg.Matrix([list(row) for row in zip(*(b.dims for b in bricks))], q.n)
     g = g_matrix(pair)
     d = g.T @ x
     diag = []
@@ -365,10 +358,7 @@ def brick_slate(pair: TauPair, graph: ExchangeGraph | None = None,
             raise TheoremViolationError(f"diagonal entry {d[i, i]} is not +-1")
         diag.append(int(d[i, i]))
     c = c_matrix(pair)
-    xd = x.copy()
-    for j in range(q.n):
-        for i in range(q.n):
-            xd[i, j] = xd[i, j] * diag[j]
+    xd = linalg.Matrix([[y * s for y, s in zip(row, diag)] for row in x.rows], q.n)
     if not linalg.equal(c, xd):
         raise TheoremViolationError("C != X D for the extracted bricks")
     return BrickSlate(pair, bricks, x, tuple(diag))

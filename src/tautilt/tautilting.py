@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .algebra import BoundQuiver, memoised
 from .modules import (
@@ -145,7 +143,7 @@ def remove_summand(pair: TauPair, r: int) -> TauPair:
 # ----------------------------------------------------------------------
 
 @memoised
-def g_matrix(pair: TauPair) -> np.ndarray:
+def g_matrix(pair: TauPair) -> linalg.Matrix:
     """Columns are g-vectors of the module slots and negated g-vectors of the
     projective slots, in canonical slot order.  The determinant is +-1.
     Memoised per pair; the read-only result is shared by every caller."""
@@ -158,10 +156,7 @@ def g_matrix(pair: TauPair) -> np.ndarray:
             cols.append(g_vector(payload))
         else:
             cols.append(g_vector(projective(pair.algebra, payload), shifted=True))
-    g = linalg.zeros(n, n)
-    for c, col in enumerate(cols):
-        for r in range(n):
-            g[r, c] = col[r]
+    g = linalg.Matrix([list(row) for row in zip(*cols)], n)
     d = linalg.det(g)
     if d not in (1, -1):
         raise TheoremViolationError(f"g-matrix determinant is {d}, expected +-1")
@@ -169,20 +164,19 @@ def g_matrix(pair: TauPair) -> np.ndarray:
 
 
 @memoised
-def c_matrix(pair: TauPair) -> np.ndarray:
+def c_matrix(pair: TauPair) -> linalg.Matrix:
     """Exact inverse-transpose of the g-matrix; integer entries.  Memoised
     per pair; the read-only result is shared by every caller."""
-    c = linalg.inverse(g_matrix(pair)).T.copy()
+    c = linalg.inverse(g_matrix(pair)).T
     linalg.as_int_matrix(c)  # integrality assertion
     return linalg.frozen(c)
 
 
-def sign_coherence(c: np.ndarray) -> list[str]:
+def sign_coherence(c: linalg.Matrix) -> list[str]:
     """Classify each column as 'positive' / 'negative'; 'mixed' never occurs
     for a C-matrix and is surfaced for the verification report."""
     out = []
-    for j in range(c.shape[1]):
-        col = [c[i, j] for i in range(c.shape[0])]
+    for col in c.T.rows:
         if all(x >= 0 for x in col):
             out.append("positive")
         elif all(x <= 0 for x in col):
@@ -231,7 +225,7 @@ def mutate_down(pair: TauPair, r: int, seed: int = 0,
         raise ValueError("slot mutates upward; mutate from the other endpoint")
     q = pair.algebra
     rest = [x for x in pair.m_parts if x is not payload]
-    approx = minimal_left_approximation(payload, rest, seed=seed)
+    approx = minimal_left_approximation(payload, rest)
     coker, _ = cokernel(approx.map)
     if not coker.is_zero():
         if max_dim is not None and coker.total_dim > max_dim:

@@ -51,12 +51,9 @@ class Fan:
     reachable_only: bool = True
 
 
-def chamber_of_pair(pair: TauPair, g=None, c=None, pair_id: int = 0) -> Chamber:
+def chamber_of_pair(pair: TauPair, pair_id: int = 0) -> Chamber:
     """Assemble a chamber and assert the exact orthogonality C^T G = Id."""
-    if g is None:
-        g = g_matrix(pair)
-    if c is None:
-        c = c_matrix(pair)
+    g, c = g_matrix(pair), c_matrix(pair)
     n = pair.algebra.n
     prod = c.T @ g
     for i in range(n):

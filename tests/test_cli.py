@@ -236,6 +236,18 @@ def test_bad_prime(a3_rel_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("prime, command", [("1000000000000000003", "info"),
+                                            ("16411", "verify")],
+                         ids=["huge", "over_budget"])
+def test_prime_outside_oracle_range(a3_rel_file, prime, command):
+    # p^1 already exceeds the oracle's budget above 2^14, so such a prime
+    # could check nothing; it is refused before any primality test runs
+    run = subprocess.run([sys.executable, "-m", "tautilt.cli", a3_rel_file, command,
+                          "--prime", prime], capture_output=True, text=True, timeout=20)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
 def test_truncation_exit_code(tmp_path, capsys):
     f = tmp_path / "kron.alg"
     f.write_text("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
@@ -278,12 +290,13 @@ def test_verify_determinism_subprocess(tmp_path):
         assert json.loads(outputs[0])["all_pass"] is True
 
 
-# runs the CLI in a fresh process and fails unless sympy stayed unloaded
+# runs the CLI in a fresh process and fails unless sympy and numpy stayed unloaded
 _NO_SYMPY_MAIN = """\
 import sys
 from tautilt.cli import main
 code = main(sys.argv[1:])
 assert "sympy" not in sys.modules, "sympy was imported"
+assert "numpy" not in sys.modules, "numpy was imported"
 sys.exit(code)
 """
 

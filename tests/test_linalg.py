@@ -22,15 +22,15 @@ def small_matrices(max_dim=4):
                     lambda rows: _build(m, n, rows))))
 
 
-def sparse_matrices(max_rows=12, max_cols=14):
+def sparse_matrices(max_rows=12, max_cols=14, rows=None):
     """Mostly-zero matrices with small denominators, zero rows and columns
-    included, down to 0 x n and m x 0."""
+    included, down to 0 x n and m x 0; ``rows`` fixes the height."""
     nonzero = st.builds(Fraction, st.integers(min_value=-9, max_value=9).filter(bool),
                         st.integers(min_value=1, max_value=4))
 
     @st.composite
     def build(draw):
-        m = draw(st.integers(min_value=0, max_value=max_rows))
+        m = rows if rows is not None else draw(st.integers(min_value=0, max_value=max_rows))
         n = draw(st.integers(min_value=0, max_value=max_cols))
         cells = [(i, j) for i in range(m) for j in range(n)]
         filled = draw(st.lists(st.sampled_from(cells), unique=True,
@@ -61,7 +61,8 @@ def _reference_rref(a):
         if pivot is None:
             continue
         if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
+            for j in range(n):
+                r[row, j], r[pivot, j] = r[pivot, j], r[row, j]
         inv = Fraction(1) / Fraction(r[row, col])
         for j in range(col, n):
             r[row, j] = Fraction(r[row, j]) * inv
@@ -148,13 +149,6 @@ def test_min_poly_nilpotent():
     assert linalg.min_poly(a) == [Fraction(0), Fraction(0), Fraction(1)]
 
 
-def test_quotient_projection():
-    sub = linalg.mat([[1], [1]])
-    proj = linalg.quotient_projection(sub, 2)
-    assert proj.shape == (1, 2)
-    assert linalg.is_zero(proj @ sub)
-
-
 def test_sparse_kernel_edge_shapes():
     for m, n in [(0, 0), (0, 3), (3, 0)]:
         r, pivots = linalg.rref(linalg.zeros(m, n))
@@ -162,6 +156,49 @@ def test_sparse_kernel_edge_shapes():
     assert linalg.equal(linalg.nullspace(linalg.zeros(0, 2)), linalg.eye(2))
     assert linalg.nullspace_of_rows([], 0).shape == (0, 0)
     assert linalg.equal(linalg.nullspace_of_rows([{}, {1: 0}], 2), linalg.eye(2))
+
+
+def test_matrix_edge_shapes():
+    for m, n in [(0, 0), (0, 3), (2, 0), (3, 2)]:
+        a = linalg.zeros(m, n)
+        assert a.T.shape == (n, m) and a.T.T.shape == (m, n)
+        assert (linalg.zeros(m, 0) @ linalg.zeros(0, n)).shape == (m, n)
+        assert linalg.is_zero(linalg.zeros(m, 0) @ linalg.zeros(0, n))
+    a = linalg.mat([[1, 2], [3, 4]])
+    b = linalg.mat([["1/2"], [5]])
+    # the height argument sizes only the all-empty case
+    assert linalg.equal(linalg.hstack([a, linalg.zeros(2, 0), b], 0),
+                        linalg.mat([[1, 2, "1/2"], [3, 4, 5]]))
+    assert linalg.hstack([linalg.zeros(4, 0)], 4).shape == (4, 0)
+    assert linalg.equal(linalg.vstack([linalg.zeros(0, 2), a], 7), a)
+    diag = linalg.block_diag([linalg.zeros(1, 0), a, linalg.zeros(0, 2), b])
+    assert linalg.equal(diag, linalg.mat([[0, 0, 0, 0, 0], [1, 2, 0, 0, 0], [3, 4, 0, 0, 0],
+                                          [0, 0, 0, 0, "1/2"], [0, 0, 0, 0, 5]]))
+    assert linalg.equal(a.reshape(4, 1).reshape(2, 2), a)
+    assert linalg.equal(a.reshape(1, 4), linalg.mat([[1, 2, 3, 4]]))
+    assert linalg.zeros(3, 0).reshape(0, 5).shape == (0, 5)
+    assert linalg.equal(a[0:2, 1:2], linalg.mat([[2], [4]]))
+    assert a[1:1, :].shape == (0, 2)
+    with pytest.raises(TypeError):
+        a[0, :]
+    frozen = linalg.frozen(a.copy())
+    with pytest.raises(ValueError):
+        frozen[0, 0] = 7
+    assert frozen[0, 0] == 1
+    copy = frozen.copy()
+    copy[0, 0] = 7
+    assert frozen[0, 0] == 1 and copy[0, 0] == 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_matmul_matches_dense_loop(a, data):
+    b = data.draw(sparse_matrices(rows=a.shape[1]))
+    (m, k), n = a.shape, b.shape[1]
+    product = a @ b
+    assert product.shape == (m, n)
+    assert product.tolist() == [[sum((a[i, t] * b[t, j] for t in range(k)), Fraction(0))
+                                 for j in range(n)] for i in range(m)]
 
 
 @settings(max_examples=150, deadline=None)
