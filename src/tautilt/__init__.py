@@ -47,7 +47,6 @@ from .tautilting import (
 )
 from .stability import (
     BrickSlate,
-    TorsionClassHandle,
     b_plus,
     brick_of_slot,
     brick_slate,

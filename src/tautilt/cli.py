@@ -26,6 +26,8 @@ from .stability import (
     verify_pair,
 )
 from .tautilting import (
+    DEFAULT_MAX_DIM,
+    DEFAULT_MAX_NODES,
     EnumerationError,
     c_matrix,
     enumerate_exchange_graph,
@@ -60,8 +62,8 @@ def _build_parser() -> _Parser:
     p.add_argument("command", choices=["info", "enumerate", "verify", "fan", "graph"])
     p.add_argument("--format", choices=["json", "table", "dot", "svg"], default=None,
                    help="output format (defaults per command)")
-    p.add_argument("--max-nodes", type=int, default=10000)
-    p.add_argument("--max-dim", type=int, default=30)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--prime", type=int, default=2,
                    help="prime for the brute-force stability oracle, at most "
                         f"{BRUTE_FORCE_BUDGET} (the oracle's budget)")

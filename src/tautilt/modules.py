@@ -321,9 +321,7 @@ def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertexwise cokernel with the projection from the target."""
-    q = f.source.algebra
-    projections = [linalg.left_nullspace(f.vertex_maps[v]) for v in range(q.n)]
-    return _quotient_representation(f.target, projections)
+    return quotient_from_bases(f.target, f.vertex_maps)
 
 
 def _sub_representation(ambient: Representation,
@@ -343,21 +341,6 @@ def _sub_representation(ambient: Representation,
     return sub, incl
 
 
-def _quotient_representation(ambient: Representation,
-                             projections: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
-    q = ambient.algebra
-    dims = [p.shape[0] for p in projections]
-    right_invs = [linalg.right_inverse(p) if p.shape[0] else linalg.zeros(p.shape[1], 0)
-                  for p in projections]
-    maps = {}
-    for a in q.arrows:
-        i, j = a.source - 1, a.target - 1
-        maps[a.name] = projections[j] @ ambient.arrow_maps[a.name] @ right_invs[i]
-    quot = Representation(q, dims, maps, check=False)
-    proj = ModuleMap(ambient, quot, projections, check=False)
-    return quot, proj
-
-
 def sub_from_bases(ambient: Representation,
                    bases: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
     """Subrepresentation spanned vertexwise by the given column bases."""
@@ -365,24 +348,51 @@ def sub_from_bases(ambient: Representation,
     return _sub_representation(ambient, reduced)
 
 
+def quotient_from_bases(ambient: Representation, bases) -> tuple[Representation, ModuleMap]:
+    """``ambient`` modulo the subrepresentation spanned vertexwise by the
+    columns of ``bases`` (any iterable of per-vertex matrices), with the
+    projection.
+
+    Each vertex projection is the left nullspace of its basis, read off the
+    unique RREF of the transpose, so it depends only on the span: bases with
+    equal spans give the same interned quotient, and no basis need be
+    reduced first.  Raises ValueError unless the spans are closed under the
+    arrow action."""
+    q = ambient.algebra
+    bases = list(bases)
+    projections = [linalg.left_nullspace(b) for b in bases]
+    sections = [linalg.right_inverse(p) if p.shape[0] else linalg.zeros(p.shape[1], 0)
+                for p in projections]
+    maps = {}
+    for a in q.arrows:
+        i, j = a.source - 1, a.target - 1
+        arrow = ambient.arrow_maps[a.name]
+        if not linalg.is_zero(projections[j] @ (arrow @ bases[i])):
+            raise ValueError("subspaces are not closed under the arrow action")
+        maps[a.name] = projections[j] @ arrow @ sections[i]
+    quot = Representation(q, [p.shape[0] for p in projections], maps, check=False)
+    return quot, ModuleMap(ambient, quot, projections, check=False)
+
+
 # ----------------------------------------------------------------------
 # radical, top, traces
 # ----------------------------------------------------------------------
 
+def _radical_spans(m: Representation) -> list[linalg.Matrix]:
+    """Per vertex, the incoming arrow maps side by side: their columns span rad M."""
+    q = m.algebra
+    return [linalg.hstack([m.arrow_maps[a.name] for a in q.arrows if a.target - 1 == v], d)
+            for v, d in enumerate(m.dims)]
+
+
 def radical(m: Representation) -> tuple[Representation, ModuleMap]:
     """rad M: spanned vertexwise by the images of incoming arrow maps."""
-    q = m.algebra
-    bases = []
-    for v in range(q.n):
-        blocks = [m.arrow_maps[a.name] for a in q.arrows if a.target - 1 == v]
-        bases.append(linalg.column_space(linalg.hstack(blocks, m.dims[v])))
-    return _sub_representation(m, bases)
+    return sub_from_bases(m, _radical_spans(m))
 
 
 def top(m: Representation) -> tuple[Representation, ModuleMap]:
     """M / rad M with the projection; semisimple (all arrow maps vanish)."""
-    _, incl = radical(m)
-    return cokernel(incl)
+    return quotient_from_bases(m, _radical_spans(m))
 
 
 def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleMap]:
@@ -791,19 +801,19 @@ def _combination(maps: list[ModuleMap], coefs) -> list[linalg.Matrix]:
     return vm
 
 
-def _end_quotient_is_field(endos: list[ModuleMap], rng: random.Random) -> bool:
-    """Certify that End/rad is a field (so the module is indecomposable).
+def _end_quotient_is_field(structure: list[linalg.Matrix], rad_cols: linalg.Matrix,
+                           rng: random.Random) -> bool:
+    """Certify that End/rad is a field (so the module is indecomposable),
+    given ``_end_structure`` of an endomorphism basis whose radical has
+    codimension at least 2.
 
     Checks commutativity of the semisimple quotient and then looks for a
     primitive element: a seeded element whose minimal polynomial on the
     quotient is irreducible of full degree.  Only positive certificates are
     returned; inconclusive sampling yields False.
     """
-    d = len(endos)
-    structure, rad_cols = _end_structure(endos)
+    d = len(structure)
     semis_dim = d - rad_cols.shape[1]
-    if semis_dim == 1:
-        return True
     proj = linalg.left_nullspace(rad_cols) if rad_cols.shape[1] else linalg.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
@@ -892,10 +902,11 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
             for part in parts:
                 out.extend(_decompose_rec(part, seed))
             return out
-    rad_dim = _end_structure(endos)[1].shape[1]
+    structure, rad_cols = _end_structure(endos)
+    rad_dim = rad_cols.shape[1]
     if len(endos) - rad_dim == 1:
         return [m]
-    if _end_quotient_is_field(endos, _derived_rng(seed + 1, m)):
+    if _end_quotient_is_field(structure, rad_cols, _derived_rng(seed + 1, m)):
         # local endomorphism ring with a residue field larger than the
         # rationals: indecomposable here, though it may split after a base
         # field extension

@@ -18,7 +18,6 @@ from .algebra import memoised
 from .modules import (
     Representation,
     _in_fac,
-    _sub_representation,
     _trace_bases,
     cokernel,
     decompose,
@@ -27,9 +26,8 @@ from .modules import (
     hom_basis,
     hom_dim,
     is_isomorphic,
-    minimal_right_approximation,
     projective,
-    sub_from_bases,
+    quotient_from_bases,
     tau,
 )
 from .tautilting import (
@@ -265,9 +263,9 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
                   seed: int = 0) -> Representation:
     """The unique stable brick attached to slot r of a tilting pair.
 
-    The generator of the semistable subcategory is the cokernel of the
-    minimal right approximation (by the remaining module summands) of the
-    exchanged summand of the Fac-larger completion; the brick is its
+    The generator of the semistable subcategory is the exchanged summand of
+    the Fac-larger completion modulo the trace of the remaining module
+    summands (the image of its right approximation by them); the brick is its
     indecomposable summand modulo the images of its radical endomorphisms.
     The result is validated as a semistable brick before being returned.
     """
@@ -284,8 +282,8 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
             graph = enumerate_exchange_graph(q, seed=seed)
         e = graph.completion_edge(almost)
         exchanged = graph.nodes[e.src].slots()[e.slot][1]
-    approx = minimal_right_approximation(list(almost.m_parts), exchanged)
-    generator, _ = cokernel(approx.map)
+    generator, _ = quotient_from_bases(exchanged,
+                                       _trace_bases(list(almost.m_parts), exchanged))
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
     summands = decompose(generator, seed=seed)
@@ -314,14 +312,8 @@ def _brick_from_local_module(y: Representation) -> Representation:
     rad = end_radical_basis(y)
     if not rad:
         return y
-    q = y.algebra
-    bases = []
-    for v in range(q.n):
-        cols = [f.vertex_maps[v] for f in rad]
-        bases.append(linalg.column_space(linalg.hstack(cols, y.dims[v])))
-    sub, incl = sub_from_bases(y, bases)
-    quotient, _ = cokernel(incl)
-    return quotient
+    return quotient_from_bases(y, (linalg.hstack([f.vertex_maps[v] for f in rad], d)
+                                   for v, d in enumerate(y.dims)))[0]
 
 
 @dataclass
@@ -384,32 +376,6 @@ def fac_contains(pair: TauPair, x: Representation) -> bool:
     return _in_fac(list(pair.m_parts), x)
 
 
-@dataclass(frozen=True)
-class TorsionClassHandle:
-    """A torsion class held intensionally: membership is a predicate.
-
-    Backed either by a pair (the quotient-closure Fac M) or by a brick list
-    (the minimal torsion class containing them).
-    """
-    pair: TauPair | None = None
-    bricks: tuple[Representation, ...] | None = None
-
-    @classmethod
-    def from_pair(cls, pair: TauPair) -> "TorsionClassHandle":
-        return cls(pair=pair)
-
-    @classmethod
-    def from_bricks(cls, bricks) -> "TorsionClassHandle":
-        return cls(bricks=tuple(bricks))
-
-    def contains(self, x: Representation) -> bool:
-        if self.pair is not None:
-            return fac_contains(self.pair, x)
-        if self.bricks is not None:
-            return minimal_torsion_contains(self.bricks, x)
-        raise ValueError("empty torsion class handle")
-
-
 def minimal_torsion_contains(bricks, x: Representation) -> bool:
     """Membership in the minimal torsion class containing the given modules,
     decided by iterated traces (the trace is torsion, the recursion drops to
@@ -425,8 +391,7 @@ def minimal_torsion_contains(bricks, x: Representation) -> bool:
             return True
         if not any(ranks):
             return False
-        _, incl = _sub_representation(current, bases)
-        current, _ = cokernel(incl)
+        current, _ = quotient_from_bases(current, bases)
     return True
 
 

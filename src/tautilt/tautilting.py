@@ -20,7 +20,6 @@ from .modules import (
     canonical_sort_key,
     cokernel,
     decompose,
-    direct_sum,
     g_vector,
     hom_dim,
     is_isomorphic,
@@ -240,10 +239,9 @@ def mutate_down(pair: TauPair, r: int, seed: int = 0,
             if pair_is_valid(candidate, seed=seed):
                 return candidate
     # support shrinks: the slot becomes a shifted projective
-    rest_sum = direct_sum(q, rest)
     candidates = []
     for j in range(1, q.n + 1):
-        if j in pair.p_parts or rest_sum.dims[j - 1] != 0:
+        if j in pair.p_parts or any(x.dims[j - 1] for x in rest):
             continue
         candidate = TauPair(q, tuple(rest), pair.p_parts + (j,))
         if pair_is_valid(candidate, seed=seed):

@@ -19,6 +19,7 @@ from tautilt.modules import (
     ModuleMap,
     Representation,
     _is_isomorphic_symbolic,
+    _trace_bases,
     ar_pairing,
     canonical_sort_key,
     cokernel,
@@ -39,10 +40,12 @@ from tautilt.modules import (
     minimal_right_approximation,
     nakayama_on_map,
     projective,
+    quotient_from_bases,
     radical,
     rep_from_literal,
     rep_to_literal,
     simple,
+    sub_from_bases,
     tau,
     top,
     trace,
@@ -467,6 +470,44 @@ def test_trace_largest_in_fac(a3_rel_graph):
             quot, _ = cokernel(incl)
             t2, _ = trace(n, quot)
             assert t2.is_zero()
+
+
+def test_quotient_by_trace_is_right_approximation_cokernel(corpus_graphs):
+    # the image of a right add(N)-approximation of X is the trace of N in X,
+    # and a quotient depends only on the spans, so both give one object
+    cases = 0
+    for graph in corpus_graphs.values():
+        for pair in graph.nodes:
+            for x in pair.m_parts:
+                rest = [y for y in pair.m_parts if y is not x]
+                quot, _ = quotient_from_bases(x, _trace_bases(rest, x))
+                assert quot is cokernel(minimal_right_approximation(rest, x).map)[0]
+                cases += 1
+    assert cases == 71
+
+
+def test_top_is_cokernel_of_radical(corpus_graphs):
+    for graph in corpus_graphs.values():
+        for x in graph.registry.reps:
+            assert top(x)[0] is cokernel(radical(x)[1])[0]
+
+
+def test_quotient_from_non_reduced_bases(a3_rel):
+    p1 = projective(a3_rel, 1)
+    spans = list(_trace_bases([projective(a3_rel, 2)], p1))
+    repeated = [linalg.hstack([b, b, b * 2], d) for b, d in zip(spans, p1.dims)]
+    quot, proj = quotient_from_bases(p1, repeated)
+    assert quot is cokernel(sub_from_bases(p1, repeated)[1])[0]
+    assert quot.dims == (1, 0, 0)
+    assert proj.target is quot
+
+
+def test_quotient_from_bases_refuses_unclosed_span(a3_rel):
+    # the top vector of P(1) at vertex 1 alone: arrow a maps it out of the span
+    p1 = projective(a3_rel, 1)
+    bases = [linalg.eye(1), linalg.zeros(1, 0), linalg.zeros(0, 0)]
+    with pytest.raises(ValueError, match="not closed under the arrow action"):
+        quotient_from_bases(p1, bases)
 
 
 def test_right_approximation_split_epi(a3_rel):

@@ -280,22 +280,12 @@ def test_fac_contains_golden(a3_rel_graph):
     assert fac_contains(row2, zero_rep(a3_rel_graph.algebra))
 
 
-def test_torsion_handle_predicates(a3_rel, a3_rel_graph):
-    from tautilt.stability import TorsionClassHandle
-    row2 = node_by_desc(a3_rel_graph, "((1,1,0) (0,1,1) (0,1,0) | 0)")
-    handle = TorsionClassHandle.from_pair(row2)
-    assert handle.contains(simple(a3_rel, 1))
-    assert not handle.contains(simple(a3_rel, 3))
-    bricks = TorsionClassHandle.from_bricks([simple(a3_rel, 3)])
-    assert bricks.contains(simple(a3_rel, 3))
-    assert not bricks.contains(simple(a3_rel, 1))
-
-
 def test_minimal_torsion_golden(a3_rel):
     s1, s3 = simple(a3_rel, 1), simple(a3_rel, 3)
     p1, p2 = projective(a3_rel, 1), projective(a3_rel, 2)
     assert minimal_torsion_contains([s1, p2], p1)
     assert not minimal_torsion_contains([s3], s1)
+    assert minimal_torsion_contains([s3], s3)
     assert minimal_torsion_contains([], zero_rep(a3_rel))
     assert not minimal_torsion_contains([], s1)
     assert minimal_torsion_contains([p1], p1)
