@@ -42,6 +42,10 @@ EXIT_INPUT = 1
 EXIT_TRUNCATED = 2
 EXIT_VIOLATION = 3
 
+# the formats each command can write, its default first
+FORMATS = {"info": ("table", "json"), "enumerate": ("table", "json"), "verify": ("json",),
+           "fan": ("json", "svg"), "graph": ("dot",)}
+
 
 class _WriteError(Exception):
     """The ``-o`` path could not be written."""
@@ -61,7 +65,9 @@ def _build_parser() -> _Parser:
     p.add_argument("file", help="algebra file")
     p.add_argument("command", choices=["info", "enumerate", "verify", "fan", "graph"])
     p.add_argument("--format", choices=["json", "table", "dot", "svg"], default=None,
-                   help="output format (defaults per command)")
+                   help="output format: table (default) or json for info and "
+                        "enumerate, json for verify, json (default) or svg for fan, "
+                        "dot for graph")
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--prime", type=int, default=2,
@@ -246,6 +252,10 @@ def cmd_graph(q, args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.format not in (None, *FORMATS[args.command]):
+        sys.stderr.write(f"error: {args.command} cannot write --format {args.format}; "
+                         f"it writes {' or '.join(FORMATS[args.command])}\n")
+        return EXIT_INPUT
     if args.max_nodes < 1 or args.max_dim < 1:
         sys.stderr.write("error: limits must be positive\n")
         return EXIT_INPUT

@@ -11,7 +11,9 @@ Gauss-Jordan elimination, dividing by the pivots only when the output is
 built.  The reduced row-echelon form is unique, so the pivots and every
 output entry equal those of a dense Fraction elimination.
 ``nullspace_of_rows`` takes such rows directly, so sparse systems (the Hom
-intertwiner equations) are never built densely.
+intertwiner equations) are never built densely.  A kernel basis is the
+identity at its free coordinates; ``free_nullspace`` and ``left_nullspace``
+return those with it, so callers read coordinates off them without solving.
 """
 
 from __future__ import annotations
@@ -240,8 +242,13 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return r, pivots
 
 
+def pivot_columns(a: Matrix) -> list[int]:
+    """The columns of ``a`` outside the span of the columns before them."""
+    return _eliminate(_rows_of(a))[0]
+
+
 def rank(a: Matrix) -> int:
-    return len(_eliminate(_rows_of(a))[0])
+    return len(pivot_columns(a))
 
 
 def nullspace(a: Matrix) -> Matrix:
@@ -255,6 +262,22 @@ def nullspace_of_rows(rows: list[dict], n: int) -> Matrix:
     Each row is ``{col: value}``; absent columns are zero.  The basis is
     the one :func:`nullspace` returns for the dense matrix, column by column.
     """
+    return _kernel(rows, n)[0]
+
+
+def free_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
+    """:func:`nullspace` and its free rows, where the basis is the identity."""
+    return _kernel(_rows_of(a), a.shape[1])
+
+
+def left_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Basis of the left kernel as the rows of a k x m matrix K, K @ a = 0,
+    and its free columns, where K is the identity."""
+    basis, free = free_nullspace(a.T)
+    return basis.T, free
+
+
+def _kernel(rows: list[dict], n: int) -> tuple[Matrix, list[int]]:
     pivots, done = _eliminate(rows)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -266,13 +289,17 @@ def nullspace_of_rows(rows: list[dict], n: int) -> Matrix:
         for c, x in row.items():
             if c != p:
                 basis.rows[p][k_of[c]] = -x
-    return basis
+    return basis, free
+
+
+def columns(a: Matrix, cols: list[int]) -> Matrix:
+    """The columns ``cols`` of ``a``, in that order."""
+    return Matrix([[row[c] for c in cols] for row in a.rows], len(cols))
 
 
 def column_space(a: Matrix) -> Matrix:
     """Basis of the column space: the pivot columns of ``a`` (m x r matrix)."""
-    pivots, _ = _eliminate(_rows_of(a))
-    return Matrix([[row[p] for p in pivots] for row in a.rows], len(pivots))
+    return columns(a, pivot_columns(a))
 
 
 def solve(a: Matrix, b: Matrix):
@@ -369,20 +396,6 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
         rows.extend([_ZERO] * j + row + [_ZERO] * (n - j - bj) for row in b.rows)
         j += bj
     return Matrix(rows, n)
-
-
-def left_nullspace(a: Matrix) -> Matrix:
-    """Basis of the left kernel as the rows of a k x m matrix: K @ a = 0."""
-    return nullspace(a.T).T
-
-
-def right_inverse(a: Matrix) -> Matrix:
-    """Right inverse of a full-row-rank matrix: a @ r = I."""
-    m, _ = a.shape
-    r = solve(a, eye(m))
-    if r is None:
-        raise ValueError("matrix has no right inverse")
-    return r
 
 
 def as_int_matrix(a: Matrix) -> list[list[int]]:

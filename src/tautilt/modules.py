@@ -307,16 +307,12 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertexwise kernel with its inclusion into the source."""
-    q = f.source.algebra
-    bases = [linalg.nullspace(f.vertex_maps[v]) for v in range(q.n)]
-    return _sub_representation(f.source, bases)
+    return _cut_out(f.source, f.vertex_maps)
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Vertexwise image with its inclusion into the target."""
-    q = f.source.algebra
-    bases = [linalg.column_space(f.vertex_maps[v]) for v in range(q.n)]
-    return _sub_representation(f.target, bases)
+    return sub_from_bases(f.target, f.vertex_maps)
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -324,28 +320,30 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return quotient_from_bases(f.target, f.vertex_maps)
 
 
-def _sub_representation(ambient: Representation,
-                        bases: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
+def sub_from_bases(ambient: Representation, bases) -> tuple[Representation, ModuleMap]:
+    """Subrepresentation spanned vertexwise by the given column bases, with
+    its inclusion: the kernel of the projections onto the quotient, so like
+    the quotient it depends only on the spans."""
+    return _cut_out(ambient, [linalg.left_nullspace(b)[0] for b in bases])
+
+
+def _cut_out(ambient: Representation, cuts) -> tuple[Representation, ModuleMap]:
+    """The subrepresentation killed by the per-vertex matrices ``cuts``.
+
+    Each kernel basis K is the identity at its free rows, so the sub's
+    arrow, the X with ``K_j X = M_a K_i``, is those rows of ``M_a K_i``.
+    Raises ValueError unless the kernels are closed under the arrow action."""
     q = ambient.algebra
-    dims = [b.shape[1] for b in bases]
+    bases, free = zip(*map(linalg.free_nullspace, cuts))
     maps = {}
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
-        rhs = ambient.arrow_maps[a.name] @ bases[i]
-        sol = linalg.solve(bases[j], rhs)
-        if sol is None:
+        moved = ambient.arrow_maps[a.name] @ bases[i]
+        if not linalg.is_zero(cuts[j] @ moved):
             raise ValueError("subspaces are not closed under the arrow action")
-        maps[a.name] = sol
-    sub = Representation(q, dims, maps, check=False)
-    incl = ModuleMap(sub, ambient, bases, check=False)
-    return sub, incl
-
-
-def sub_from_bases(ambient: Representation,
-                   bases: list[linalg.Matrix]) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation spanned vertexwise by the given column bases."""
-    reduced = [linalg.column_space(b) for b in bases]
-    return _sub_representation(ambient, reduced)
+        maps[a.name] = linalg.Matrix([moved.rows[r] for r in free[j]], bases[i].shape[1])
+    sub = Representation(q, [len(cols) for cols in free], maps, check=False)
+    return sub, ModuleMap(sub, ambient, bases, check=False)
 
 
 def quotient_from_bases(ambient: Representation, bases) -> tuple[Representation, ModuleMap]:
@@ -353,23 +351,24 @@ def quotient_from_bases(ambient: Representation, bases) -> tuple[Representation,
     columns of ``bases`` (any iterable of per-vertex matrices), with the
     projection.
 
-    Each vertex projection is the left nullspace of its basis, read off the
+    Each vertex projection P is the left nullspace of its basis, read off the
     unique RREF of the transpose, so it depends only on the span: bases with
     equal spans give the same interned quotient, and no basis need be
-    reduced first.  Raises ValueError unless the spans are closed under the
-    arrow action."""
+    reduced first.  P is the identity at its free columns, so the unit
+    vectors there are a section, and the quotient arrow is those columns of
+    ``P_j M_a``: two sections differ by an element of the span, which
+    ``P_j M_a`` kills.  Raises ValueError unless the spans are closed under
+    the arrow action."""
     q = ambient.algebra
     bases = list(bases)
-    projections = [linalg.left_nullspace(b) for b in bases]
-    sections = [linalg.right_inverse(p) if p.shape[0] else linalg.zeros(p.shape[1], 0)
-                for p in projections]
+    projections, free = zip(*map(linalg.left_nullspace, bases))
     maps = {}
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
-        arrow = ambient.arrow_maps[a.name]
-        if not linalg.is_zero(projections[j] @ (arrow @ bases[i])):
+        image = projections[j] @ ambient.arrow_maps[a.name]
+        if not linalg.is_zero(image @ bases[i]):
             raise ValueError("subspaces are not closed under the arrow action")
-        maps[a.name] = projections[j] @ arrow @ sections[i]
+        maps[a.name] = linalg.columns(image, free[i])
     quot = Representation(q, [p.shape[0] for p in projections], maps, check=False)
     return quot, ModuleMap(ambient, quot, projections, check=False)
 
@@ -397,7 +396,7 @@ def top(m: Representation) -> tuple[Representation, ModuleMap]:
 
 def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleMap]:
     """Sum of the images of all maps N -> X: the largest sub of X in Fac N."""
-    return _sub_representation(x, list(_trace_bases([n], x)))
+    return sub_from_bases(x, _trace_bases([n], x))
 
 
 def _trace_bases(parts: list[Representation], x: Representation):
@@ -435,20 +434,18 @@ class ProjectivePresentation:
 
 
 def _projective_cover_data(m: Representation):
-    """Vertices and covering map of the projective cover of M."""
+    """Vertices and covering map of the projective cover of M.
+
+    The generators at vertex v are the unit vectors at the free coordinates
+    of the span of rad M_v: they span a complement of the radical."""
     q = m.algebra
-    top_rep, top_proj = top(m)
     vertices: list[int] = []
     generators: list[linalg.Matrix] = []  # column vectors in M at the vertex
-    for v in range(q.n):
-        a_v = top_rep.dims[v]
-        if a_v == 0:
-            continue
-        lifts = linalg.solve(top_proj.vertex_maps[v], linalg.eye(a_v))
-        assert lifts is not None
-        for c in range(a_v):
+    for v, span in enumerate(_radical_spans(m)):
+        unit = linalg.eye(m.dims[v])
+        for c in linalg.left_nullspace(span)[1]:
             vertices.append(v + 1)
-            generators.append(lifts[:, c:c + 1])
+            generators.append(unit[:, c:c + 1])
     summands = [projective(q, i) for i in vertices]
     p0 = direct_sum(q, summands)
     vm = []
@@ -615,85 +612,54 @@ class Approximation:
 
 
 def minimal_right_approximation(n: list[Representation], x: Representation) -> Approximation:
-    """Minimal right add(N)-approximation of X.
-
-    ``n`` lists the indecomposable summands of N.  Every map N -> X factors
+    """Minimal right add(N)-approximation of X: every map N -> X factors
     through the result.
-    Copies ``f_k: u_k -> X`` form a right approximation exactly when, for
-    every summand type U, the composites ``f_k . h`` with ``h`` in
-    ``hom_basis(U, u_k)`` span Hom(U, X); copies are pruned greedily, last
-    first, while that span criterion still holds.
+
+    ``n`` lists indecomposable summands of N whose endomorphism rings modulo
+    the radical are the rationals; isomorphic repeats collapse to the first.
+    A map U -> X is radical when it factors through another type or through
+    rad End(U).  By Nakayama's lemma, copies ``f_k: U -> X`` form an
+    approximation exactly when, for every type U, they span Hom(U, X)
+    modulo the radical maps, so the copies kept are the ``hom_basis(U, X)``
+    maps that are pivot columns after the radical maps: the copies a greedy
+    pass keeps that drops copies, last first, while the rest approximate.
     """
-    summand_types = list(n)
-    copies: list[tuple[Representation, ModuleMap]] = []
-    for u in summand_types:
-        for f in hom_basis(u, x):
-            copies.append((u, f))
-    return _prune_approximation(copies, summand_types, x, right=True)
+    return _minimal_approximation(x, n, right=True)
 
 
 def minimal_left_approximation(x: Representation, n: list[Representation]) -> Approximation:
-    """Minimal left add(N)-approximation of X, ``n`` listing the
-    indecomposable summands of N; every map X -> N cofactors.
-
-    Dual span criterion: copies ``f_k: X -> u_k`` form a left approximation
-    exactly when, for every summand type U, the composites ``h . f_k`` with
-    ``h`` in ``hom_basis(u_k, U)`` span Hom(X, U).
-    """
-    summand_types = list(n)
-    copies: list[tuple[Representation, ModuleMap]] = []
-    for u in summand_types:
-        for f in hom_basis(x, u):
-            copies.append((u, f))
-    return _prune_approximation(copies, summand_types, x, right=False)
+    """Minimal left add(N)-approximation of X: every map X -> N factors
+    through the result.  Dual to :func:`minimal_right_approximation`, with
+    the same precondition on ``n``."""
+    return _minimal_approximation(x, n, right=False)
 
 
-def _assemble_approx(copies, x: Representation, right: bool) -> ModuleMap:
+def _minimal_approximation(x: Representation, n: list[Representation],
+                           right: bool) -> Approximation:
+    types: list[Representation] = []
+    for u in n:
+        if not any(is_isomorphic(u, t) for t in types):
+            types.append(u)
+    # written for the right; on the left, hom(u, x) is Hom(X, U) and
+    # after(g, h) is h . g, the dual composite
+    hom = hom_basis if right else lambda a, b: hom_basis(b, a)
+    after = ModuleMap.compose if right else lambda g, h: h.compose(g)
+    copies = []
+    for u in types:
+        maps = hom(u, x)
+        if not maps:
+            continue
+        radical = [after(g, h) for t in types if t is not u for g in hom(t, x) for h in hom(u, t)]
+        radical += [after(f, r) for f in maps for r in end_radical_basis(u)]
+        cols = linalg.hstack([f.vectorize() for f in radical + maps], 0)
+        copies += [(u, maps[p - len(radical)])
+                   for p in linalg.pivot_columns(cols) if p >= len(radical)]
     q = x.algebra
-    src_reps = [u for (u, _f) in copies]
-    bundle = direct_sum(q, src_reps)
-    vm = []
-    for v in range(q.n):
-        blocks = [f.vertex_maps[v] for (_u, f) in copies]
-        if right:
-            vm.append(linalg.hstack(blocks, x.dims[v]))
-        else:
-            vm.append(linalg.vstack(blocks, x.dims[v]))
-    if right:
-        return ModuleMap(bundle, x, vm, check=False)
-    return ModuleMap(x, bundle, vm, check=False)
-
-
-def _is_approximation(copies, summand_types, x: Representation, right: bool) -> bool:
-    """Does every map between X and a summand type factor through the copies?
-
-    Hom(U, (+) u_k) = (+) Hom(U, u_k), so the maps U -> X that factor
-    through the bundle are spanned by the composites ``f_k . h`` with ``h``
-    in ``hom_basis(U, u_k)``; they must span Hom(U, X).  Dually on the left.
-    """
-    for u in summand_types:
-        if right:
-            want = hom_dim(u, x)
-            cols = [f.compose(h).vectorize() for uk, f in copies for h in hom_basis(u, uk)]
-        else:
-            want = hom_dim(x, u)
-            cols = [h.compose(f).vectorize() for uk, f in copies for h in hom_basis(uk, u)]
-        if want and linalg.rank(linalg.hstack(cols, 0)) < want:
-            return False
-    return True
-
-
-def _prune_approximation(copies, summand_types, x: Representation,
-                         right: bool) -> Approximation:
-    # One pass from the last copy down suffices: a copy that cannot be
-    # dropped from a set cannot be dropped from any subset of it either.
-    current = list(copies)
-    for k in range(len(current) - 1, -1, -1):
-        trial = current[:k] + current[k + 1:]
-        if _is_approximation(trial, summand_types, x, right):
-            current = trial
-    final = _assemble_approx(current, x, right)
-    return Approximation(final, tuple(u for (u, _f) in current))
+    bundle = direct_sum(q, [u for u, _f in copies])
+    stack = linalg.hstack if right else linalg.vstack
+    vm = [stack([f.vertex_maps[v] for _u, f in copies], x.dims[v]) for v in range(q.n)]
+    approx = ModuleMap(bundle, x, vm, check=False) if right else ModuleMap(x, bundle, vm, check=False)
+    return Approximation(approx, tuple(u for u, _f in copies))
 
 
 # ----------------------------------------------------------------------
@@ -814,16 +780,17 @@ def _end_quotient_is_field(structure: list[linalg.Matrix], rad_cols: linalg.Matr
     """
     d = len(structure)
     semis_dim = d - rad_cols.shape[1]
-    proj = linalg.left_nullspace(rad_cols) if rad_cols.shape[1] else linalg.eye(d)
+    proj, free = linalg.left_nullspace(rad_cols)
     for i in range(d):
         for j in range(i + 1, d):
             comm = structure[i][:, j:j + 1] - structure[j][:, i:i + 1]
             if not linalg.is_zero(proj @ comm):
                 return False  # non-commutative quotient: no certificate here
-    sect = linalg.right_inverse(proj)
     for _ in range(8):
         coords = linalg.mat([[c] for c in _random_coefficients(rng, d)])
-        lbar = proj @ _left_mult_matrix(coords, structure, d) @ sect
+        # left multiplication keeps the radical, which proj kills, so the
+        # unit vectors at the free columns serve as a section
+        lbar = linalg.columns(proj @ _left_mult_matrix(coords, structure, d), free)
         poly = linalg.min_poly(lbar)
         if len(poly) - 1 != semis_dim:
             continue  # not a primitive element; resample

@@ -322,3 +322,20 @@ def test_verify_without_sympy_subprocess(tmp_path):
     out = subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(f), "verify"],
                          capture_output=True, check=True).stdout
     assert json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("command, fmt", [("graph", "svg"), ("graph", "json"),
+                                          ("verify", "table"), ("fan", "dot"),
+                                          ("info", "svg"), ("enumerate", "dot")])
+def test_format_a_command_cannot_write_is_refused(a3_rel_file, command, fmt, capsys):
+    code, out, err = run_cli_err([a3_rel_file, command, "--format", fmt], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {command} cannot write --format {fmt}")
+
+
+@pytest.mark.parametrize("command, fmt", [("info", "table"), ("enumerate", "json"),
+                                          ("verify", "json"), ("fan", "svg"),
+                                          ("graph", "dot")])
+def test_format_a_command_can_write_is_accepted(a3_rel_file, command, fmt, capsys):
+    code, out, _err = run_cli_err([a3_rel_file, command, "--format", fmt], capsys)
+    assert code == 0 and out

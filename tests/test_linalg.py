@@ -206,7 +206,7 @@ def test_matmul_matches_dense_loop(a, data):
 def test_rref_matches_reference(a):
     r, pivots = linalg.rref(a)
     ref, ref_pivots = _reference_rref(a)
-    assert pivots == ref_pivots
+    assert pivots == ref_pivots == linalg.pivot_columns(a)
     assert r.shape == ref.shape
     assert all(x == y for x, y in zip(r.flat, ref.flat))
     rows = [{j: a[i, j] for j in range(a.shape[1]) if a[i, j] != 0}
@@ -231,6 +231,15 @@ def test_rref_idempotent(a):
 def test_rank_nullity(a):
     assert linalg.rank(a) + linalg.nullspace(a).shape[1] == a.shape[1]
     assert linalg.is_zero(a @ linalg.nullspace(a))
+    # the basis is the identity at its free rows, which are the non-pivots
+    basis, free = linalg.free_nullspace(a)
+    assert linalg.equal(basis, linalg.nullspace(a))
+    assert free == [j for j in range(a.shape[1]) if j not in linalg.rref(a)[1]]
+    assert linalg.equal(linalg.Matrix([basis.rows[j] for j in free], len(free)),
+                        linalg.eye(len(free)))
+    left, free = linalg.left_nullspace(a.T)
+    assert linalg.equal(left, basis.T) and linalg.is_zero(left @ a.T)
+    assert linalg.equal(linalg.columns(left, free), linalg.eye(len(free)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
+from conftest import A3_REL_TEXT, A3_TEXT, CORPUS_TEXTS, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
 from tautilt import enumerate_exchange_graph, linalg, modules, parse_algebra
 from tautilt.modules import (
@@ -502,12 +502,23 @@ def test_quotient_from_non_reduced_bases(a3_rel):
     assert proj.target is quot
 
 
+def test_sub_depends_only_on_spans():
+    q = parse_algebra(A3_TEXT)
+    p1 = projective(q, 1)
+    rad, incl = radical(p1)
+    assert rad.dims == (0, 1, 1)
+    scaled = [m * 2 if v == 1 else m for v, m in enumerate(incl.vertex_maps)]
+    assert sub_from_bases(p1, scaled)[0] is rad
+
+
 def test_quotient_from_bases_refuses_unclosed_span(a3_rel):
     # the top vector of P(1) at vertex 1 alone: arrow a maps it out of the span
     p1 = projective(a3_rel, 1)
     bases = [linalg.eye(1), linalg.zeros(1, 0), linalg.zeros(0, 0)]
     with pytest.raises(ValueError, match="not closed under the arrow action"):
         quotient_from_bases(p1, bases)
+    with pytest.raises(ValueError, match="not closed under the arrow action"):
+        sub_from_bases(p1, bases)
 
 
 def test_right_approximation_split_epi(a3_rel):
@@ -535,6 +546,144 @@ def test_left_approximation_prunes_redundant_summand(a3_rel):
     assert [u.dims for u in approx.summands] == [(0, 1, 0)]
     coker, _ = cokernel(approx.map)
     assert coker.is_zero()
+
+
+# The drop-and-retest pass that minimal approximations replaced, kept as a
+# reference: a copy is dropped, last first, while the rest still span.
+
+def _assemble_approx(copies, x: Representation, right: bool) -> ModuleMap:
+    q = x.algebra
+    src_reps = [u for (u, _f) in copies]
+    bundle = direct_sum(q, src_reps)
+    vm = []
+    for v in range(q.n):
+        blocks = [f.vertex_maps[v] for (_u, f) in copies]
+        if right:
+            vm.append(linalg.hstack(blocks, x.dims[v]))
+        else:
+            vm.append(linalg.vstack(blocks, x.dims[v]))
+    if right:
+        return ModuleMap(bundle, x, vm, check=False)
+    return ModuleMap(x, bundle, vm, check=False)
+
+
+def _is_approximation(copies, summand_types, x: Representation, right: bool) -> bool:
+    """Does every map between X and a summand type factor through the copies?
+
+    Hom(U, (+) u_k) = (+) Hom(U, u_k), so the maps U -> X that factor
+    through the bundle are spanned by the composites ``f_k . h`` with ``h``
+    in ``hom_basis(U, u_k)``; they must span Hom(U, X).  Dually on the left.
+    """
+    for u in summand_types:
+        if right:
+            want = hom_dim(u, x)
+            cols = [f.compose(h).vectorize() for uk, f in copies for h in hom_basis(u, uk)]
+        else:
+            want = hom_dim(x, u)
+            cols = [h.compose(f).vectorize() for uk, f in copies for h in hom_basis(uk, u)]
+        if want and linalg.rank(linalg.hstack(cols, 0)) < want:
+            return False
+    return True
+
+
+def _prune_approximation(copies, summand_types, x: Representation,
+                         right: bool):
+    # One pass from the last copy down suffices: a copy that cannot be
+    # dropped from a set cannot be dropped from any subset of it either.
+    current = list(copies)
+    for k in range(len(current) - 1, -1, -1):
+        trial = current[:k] + current[k + 1:]
+        if _is_approximation(trial, summand_types, x, right):
+            current = trial
+    final = _assemble_approx(current, x, right)
+    return final, tuple(u for (u, _f) in current)
+
+
+def _assert_approximation_matches_reference(x, n):
+    for right in (True, False):
+        copies = [(u, f) for u in n for f in (hom_basis(u, x) if right else hom_basis(x, u))]
+        ref_map, ref_summands = _prune_approximation(copies, list(n), x, right)
+        approx = (minimal_right_approximation(n, x) if right
+                  else minimal_left_approximation(x, n))
+        assert approx.summands == ref_summands, (x.dims, [u.dims for u in n], right)
+        assert all(linalg.equal(a, b) for a, b in
+                   zip(approx.map.vertex_maps, ref_map.vertex_maps))
+        assert approx.map.source is ref_map.source and approx.map.target is ref_map.target
+
+
+def test_approximations_match_drop_and_retest_reference(corpus_graphs):
+    rng = random.Random(5)
+    cases = 0
+    for graph in corpus_graphs.values():
+        reps = list(graph.registry.reps)
+        for x in reps:
+            choices = [reps, [y for y in reps if y is not x]]
+            choices += [rng.sample(reps, rng.randint(1, min(4, len(reps)))) for _ in range(3)]
+            for n in choices:
+                _assert_approximation_matches_reference(x, n)
+                cases += 1
+    assert cases == 5 * sum(len(g.registry.reps) for g in corpus_graphs.values())
+
+
+def _rescaled(x: Representation, v: int, c: int) -> Representation:
+    """X after the base change c * id at vertex v: isomorphic, unequal."""
+    q = x.algebra
+    maps = {}
+    for a in q.arrows:
+        m = x.arrow_maps[a.name]
+        if a.target == v:
+            m = m * c
+        if a.source == v:
+            m = m * Fraction(1, c)
+        maps[a.name] = m
+    return Representation(q, x.dims, maps)
+
+
+def test_approximation_collapses_isomorphic_repeats():
+    q = parse_algebra(A3_TEXT)
+    p1 = projective(q, 1)
+    rescaled = _rescaled(p1, 2, 2)
+    assert rescaled is not p1 and is_isomorphic(rescaled, p1)
+    for n in ([p1, rescaled], [p1, p1], [rescaled, p1], [simple(q, 2), p1, rescaled]):
+        for x in (p1, projective(q, 2), simple(q, 1), simple(q, 3)):
+            _assert_approximation_matches_reference(x, n)
+    # the trap: the copy of P(1) survives, the rescaled repeat adds none
+    assert minimal_left_approximation(p1, [p1, rescaled]).summands == (p1,)
+    assert minimal_right_approximation([p1, rescaled], p1).summands == (p1,)
+
+
+def test_quotients_and_presentations_solve_nothing(corpus_graphs, monkeypatch):
+    # every registry rep rebuilt over a fresh algebra, so no memo answers
+    solved = []
+    real = linalg.solve
+
+    def counting(a, b):
+        solved.append(a.shape)
+        return real(a, b)
+
+    checked = 0
+    for name, graph in corpus_graphs.items():
+        q = parse_algebra(CORPUS_TEXTS[name])
+        reps = [rep_from_literal(q, rep_to_literal(x)) for x in graph.registry.reps]
+        maps = [(x, [f for y in reps for f in hom_basis(y, x)]) for x in reps]
+        monkeypatch.setattr(linalg, "solve", counting)
+        for x, into_x in maps:
+            minimal_projective_presentation(x)
+            quotient_from_bases(x, _trace_bases([y for y in reps if y is not x], x))
+            for f in into_x:
+                cokernel(f)
+            checked += 1
+        monkeypatch.setattr(linalg, "solve", real)
+    assert checked == sum(len(g.registry.reps) for g in corpus_graphs.values())
+    assert solved == []
+
+
+def test_quotient_by_zero_and_full_spans(corpus_graphs):
+    for graph in corpus_graphs.values():
+        for x in graph.registry.reps:
+            assert quotient_from_bases(x, [linalg.zeros(d, 0) for d in x.dims])[0] is x
+            full, proj = quotient_from_bases(x, [linalg.eye(d) for d in x.dims])
+            assert full is zero_rep(x.algebra) and proj.source is x
 
 
 def test_end_radical_of_brick_is_zero(a3_rel):
