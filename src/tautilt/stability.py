@@ -36,7 +36,6 @@ from .tautilting import (
     TauPair,
     TheoremViolationError,
     c_matrix,
-    enumerate_exchange_graph,
     g_matrix,
     remove_summand,
     sign_coherence,
@@ -259,8 +258,7 @@ def is_stable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
 # bricks
 # ----------------------------------------------------------------------
 
-def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
-                  seed: int = 0) -> Representation:
+def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation:
     """The unique stable brick attached to slot r of a tilting pair.
 
     The generator of the semistable subcategory is the exchanged summand of
@@ -271,22 +269,19 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph | None = None,
     """
     if not pair.is_tilting():
         raise ValueError("bricks are attached to pairs with n summands")
-    q = pair.algebra
     almost = remove_summand(pair, r)
     if slot_mutates_down(pair, r):
         exchanged = pair.slots()[r][1]
     else:
         # the exchanged summand of the Fac-larger completion, read off the
         # edge that joins the two completions
-        if graph is None:
-            graph = enumerate_exchange_graph(q, seed=seed)
         e = graph.completion_edge(almost)
         exchanged = graph.nodes[e.src].slots()[e.slot][1]
     generator, _ = quotient_from_bases(exchanged,
                                        _trace_bases(list(almost.m_parts), exchanged))
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
-    summands = decompose(generator, seed=seed)
+    summands = decompose(generator, seed=graph.seed)
     if len(summands) != 1:
         raise TheoremViolationError(
             "semistable generator has non-isomorphic indecomposable summands")
@@ -328,16 +323,14 @@ class BrickSlate:
         return [r for r, d in enumerate(self.d_diagonal) if d == 1]
 
 
-def brick_slate(pair: TauPair, graph: ExchangeGraph | None = None,
-                seed: int = 0) -> BrickSlate:
-    """Assemble the brick dimension-vector matrix X and check C = X D."""
+def brick_slate(pair: TauPair, graph: ExchangeGraph) -> BrickSlate:
+    """Assemble the brick dimension-vector matrix X and check C = X D.
+
+    The bricks found become canonical handles of the graph's registry
+    ("bricks found" belong to the probe pool alongside the rigid summands)."""
     q = pair.algebra
-    bricks = tuple(brick_of_slot(pair, r, graph=graph, seed=seed)
+    bricks = tuple(graph.registry.handle(brick_of_slot(pair, r, graph))
                    for r in range(q.n))
-    if graph is not None:
-        # bricks found become canonical registry handles ("bricks found"
-        # belong to the probe pool alongside the rigid summands)
-        bricks = tuple(graph.registry.handle(b) for b in bricks)
     x = linalg.Matrix([list(row) for row in zip(*(b.dims for b in bricks))], q.n)
     g = g_matrix(pair)
     d = g.T @ x
@@ -364,7 +357,7 @@ def b_plus(slate: BrickSlate) -> list[Representation]:
 @memoised
 def slate_for_node(graph: ExchangeGraph, idx: int) -> BrickSlate:
     """The slate of node ``idx``, under the seed the graph was enumerated with."""
-    return brick_slate(graph.nodes[idx], graph=graph, seed=graph.seed)
+    return brick_slate(graph.nodes[idx], graph)
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +458,7 @@ def self_extension_witness(brick: Representation, candidates,
             if all(linalg.rank(f.vertex_maps[v]) == brick.dims[v]
                    for v in range(brick.algebra.n)):
                 quot, _ = cokernel(f)
-                if is_isomorphic(quot, brick, seed=seed):
+                if is_isomorphic(quot, brick):
                     return e
     return None
 

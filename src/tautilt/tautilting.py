@@ -103,12 +103,12 @@ def is_tau_rigid_pair(m: Representation, p: Representation) -> bool:
     return True
 
 
-def pair_is_valid(pair: TauPair, seed: int = 0, require_tilting: bool = False) -> bool:
+def pair_is_valid(pair: TauPair) -> bool:
     """Validity of a TauPair: basic, rigid, and Hom(P, M) = 0."""
     parts = pair.m_parts
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if is_isomorphic(parts[i], parts[j], seed=seed):
+            if is_isomorphic(parts[i], parts[j]):
                 return False
     for rep in parts:
         for j in pair.p_parts:
@@ -119,8 +119,6 @@ def pair_is_valid(pair: TauPair, seed: int = 0, require_tilting: bool = False) -
         for t in taus:
             if hom_dim(x, t) != 0:
                 return False
-    if require_tilting and not pair.is_tilting():
-        return False
     return True
 
 
@@ -234,9 +232,9 @@ def mutate_down(pair: TauPair, r: int, seed: int = 0,
             raise EnumerationError(
                 f"exchange cokernel splits into {len(summands)} distinct classes")
         new_summand = summands[0][0]
-        if not is_isomorphic(new_summand, payload, seed=seed):
+        if not is_isomorphic(new_summand, payload):
             candidate = TauPair(q, tuple(rest) + (new_summand,), pair.p_parts)
-            if pair_is_valid(candidate, seed=seed):
+            if pair_is_valid(candidate):
                 return candidate
     # support shrinks: the slot becomes a shifted projective
     candidates = []
@@ -244,7 +242,7 @@ def mutate_down(pair: TauPair, r: int, seed: int = 0,
         if j in pair.p_parts or any(x.dims[j - 1] for x in rest):
             continue
         candidate = TauPair(q, tuple(rest), pair.p_parts + (j,))
-        if pair_is_valid(candidate, seed=seed):
+        if pair_is_valid(candidate):
             candidates.append(candidate)
     if len(candidates) != 1:
         raise EnumerationError(
@@ -268,10 +266,9 @@ class ModuleRegistry:
     Ids follow insertion order.  Registered handles, and so every module
     equal to one (modules are interned by value), are answered by identity;
     any other module is matched against the handles of its dimension vector
-    by isomorphism."""
+    by :func:`is_isomorphic`, which is exact and draws no random numbers."""
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self.reps: list[Representation] = []
         self._by_dims: dict[tuple, list[int]] = {}
         self._by_handle: dict[Representation, int] = {}
@@ -282,7 +279,7 @@ class ModuleRegistry:
         if idx is not None:
             return idx
         for idx in self._by_dims.get(rep.dims, []):
-            if is_isomorphic(self.reps[idx], rep, seed=self.seed):
+            if is_isomorphic(self.reps[idx], rep):
                 return idx
         return None
 
@@ -388,7 +385,7 @@ def enumerate_exchange_graph(q: BoundQuiver,
     """
     if max_nodes < 1 or max_dim < 1:
         raise ValueError("limits must be positive")
-    registry = ModuleRegistry(seed)
+    registry = ModuleRegistry()
     start = TauPair(q, tuple(registry.handle(projective(q, i))
                              for i in range(1, q.n + 1)), ())
     truncated = False

@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import A3_REL_TEXT, LOOP_TEXT, PREPROJ_A3_TEXT
+from conftest import A3_REL_TEXT, LOOP_TEXT
 
 from tautilt.cli import main
 
@@ -300,14 +301,13 @@ assert "numpy" not in sys.modules, "numpy was imported"
 sys.exit(code)
 """
 
-A5_TEXT = "vertices 5\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\narrow d: 4 -> 5\n"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
-def test_fan_svg_without_sympy_subprocess(tmp_path):
-    # isomorphism is decided without sympy, and the answer does not depend
-    # on the seed of the random trials
-    f = tmp_path / "preproj_a3.alg"
-    f.write_text(PREPROJ_A3_TEXT)
+def test_fan_svg_without_sympy_subprocess():
+    # the benchmark's preprojective A3 fan: isomorphism is decided without
+    # sympy, and the answer does not depend on the seed
+    f = WORKLOADS / "preproj_a3.alg"
     outputs = [subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(f), "fan",
                                "--format", "svg", "--seed", seed],
                               capture_output=True, check=True).stdout
@@ -316,11 +316,10 @@ def test_fan_svg_without_sympy_subprocess(tmp_path):
     assert outputs[0].startswith(b"<svg")
 
 
-def test_verify_without_sympy_subprocess(tmp_path):
-    f = tmp_path / "a5.alg"
-    f.write_text(A5_TEXT)
-    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(f), "verify"],
-                         capture_output=True, check=True).stdout
+def test_verify_without_sympy_subprocess():
+    # the benchmark's linear A5 verify
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(WORKLOADS / "a5.alg"),
+                          "verify"], capture_output=True, check=True).stdout
     assert json.loads(out)["all_pass"] is True
 
 

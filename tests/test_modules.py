@@ -232,19 +232,39 @@ def _reference_is_isomorphic_symbolic(m, n, maps):
                     x = Fraction(block[r, c])
                     if x != 0:
                         mat[r, c] += cs[idx] * sympy.Rational(x.numerator, x.denominator)
-        if sympy.expand(mat.det()) == 0:
+        if sympy.expand(mat.det(method="berkowitz")) == 0:
             return False
     return True
 
 
 def _assert_iso_matches_reference(m, n):
-    """Both the public test and the exact decider (without the seeded trials,
-    which would answer most "yes" cases first) agree with the reference."""
+    """The public test agrees with the reference on every pair, and so does
+    the exact decider on the pairs it receives: those where no Hom basis map
+    is bijective."""
     maps = hom_basis(m, n)
     want = _reference_is_isomorphic_symbolic(m, n, maps)
     assert is_isomorphic(m, n) == want, (m, n)
-    assert _is_isomorphic_symbolic(m, n, maps) == want, (m, n)
+    verts = [v for v, d in enumerate(m.dims) if d]
+    if not any(all(linalg.det(f.vertex_maps[v]) != 0 for v in verts) for f in maps):
+        assert _is_isomorphic_symbolic(m, n) == want, (m, n)
     return want
+
+
+def _base_changed(m, rng):
+    """M under a random invertible integer base change at every vertex: the
+    arrow a: i -> j acts by P_j M_a P_i^-1.  Isomorphic to M, rarely equal."""
+    q = m.algebra
+    bases = []
+    for d in m.dims:
+        while True:
+            p = linalg.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+            if d == 0 or linalg.det(p) != 0:
+                break
+        bases.append(p)
+    inverses = [linalg.inverse(p) if d else p for p, d in zip(bases, m.dims)]
+    return Representation(q, m.dims, {
+        a.name: bases[a.target - 1] @ m.arrow_maps[a.name] @ inverses[a.source - 1]
+        for a in q.arrows})
 
 
 @pytest.mark.parametrize("text", [A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT],
@@ -254,13 +274,31 @@ def test_is_isomorphic_matches_symbolic_reference(text):
     reps = list(enumerate_exchange_graph(q).registry.reps)
     sums = {(x, y): direct_sum(q, [x, y])
             for x, y in itertools.combinations_with_replacement(reps, 2)}
+    rng = random.Random(0)
     mods = reps + list(sums.values())
+    mods += [_base_changed(m, rng) for m in mods]
     for a, b in itertools.combinations_with_replacement(mods, 2):
         if a.dims == b.dims:
             _assert_iso_matches_reference(a, b)
     for (x, y), s in sums.items():
         if x is not y:
             assert _assert_iso_matches_reference(s, direct_sum(q, [y, x]))
+
+
+def test_is_isomorphic_draws_no_random_numbers(monkeypatch):
+    # indecomposables are compared from one Hom basis, without sampling
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    reps = list(enumerate_exchange_graph(q).registry.reps)
+    copies = [_base_changed(x, random.Random(i)) for i, x in enumerate(reps)]
+
+    def refuse(*args):
+        raise AssertionError("random numbers drawn")
+
+    monkeypatch.setattr(modules, "_derived_rng", refuse)
+    pairs = [(x, y, i == j) for (i, x), (j, y)
+             in itertools.product(enumerate(reps), enumerate(copies)) if x.dims == y.dims]
+    assert [is_isomorphic(x, y) for x, y, _iso in pairs] == [iso for *_xy, iso in pairs]
+    assert (len(pairs), sum(iso for *_xy, iso in pairs)) == (21, 11)
 
 
 def test_is_isomorphic_compares_summands(a2):

@@ -40,10 +40,10 @@ def test_brick_uniqueness_among_registry(corpus_graphs):
                 assert stable[0].dims == slate.bricks[r].dims
 
 
-def test_brick_requires_tilting_pair(a3_rel):
+def test_brick_requires_tilting_pair(a3_rel, a3_rel_graph):
     almost = TauPair(a3_rel, (projective(a3_rel, 1),), ())
     with pytest.raises(ValueError):
-        brick_of_slot(almost, 0)
+        brick_of_slot(almost, 0, a3_rel_graph)
 
 
 def test_truncated_graph_still_sign_coherent():
