@@ -273,6 +273,9 @@ def free_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
 def left_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
     """Basis of the left kernel as the rows of a k x m matrix K, K @ a = 0,
     and its free columns, where K is the identity."""
+    m, n = a.shape
+    if n == 0:  # no columns: every row is free, nothing to eliminate
+        return eye(m), list(range(m))
     basis, free = free_nullspace(a.T)
     return basis.T, free
 

@@ -399,16 +399,34 @@ def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleM
     return sub_from_bases(x, _trace_bases([n], x))
 
 
+@memoised
+def _trace_spans(part: Representation, x: Representation) -> tuple[linalg.Matrix, ...]:
+    """Per vertex, a read-only column basis of the trace of ``part`` in X: the
+    span of the images of the cached Hom(part, X) basis."""
+    maps = hom_basis(part, x)
+    return tuple(linalg.frozen(linalg.column_space(
+        linalg.hstack([f.vertex_maps[v] for f in maps], d))) for v, d in enumerate(x.dims))
+
+
 def _trace_bases(parts: list[Representation], x: Representation):
     """Column bases, vertex by vertex, of the trace of the sum of the parts in X.
 
-    Hom(sum of parts, X) is the direct sum of the cached Hom(part, X), so the
-    trace is spanned by the images of their bases; the images may overlap,
-    hence a column space and never a sum of dimensions.  Yields lazily, so a
-    caller may stop at the first vertex it rejects."""
-    maps = [f for part in parts for f in hom_basis(part, x)]
+    Hom(sum of parts, X) is the direct sum of the Hom(part, X), so the trace
+    is the sum of the parts' traces, each computed at every vertex and
+    memoised per (part, X) by :func:`_trace_spans`.  The spans may overlap,
+    hence a column space and never a sum of dimensions; it is skipped when
+    at most one span is nonzero or one already fills the vertex.  Only this
+    combine is lazy, vertex by vertex, so a caller may stop at the first
+    vertex it rejects."""
+    spans = [_trace_spans(part, x) for part in parts]
     for v, d in enumerate(x.dims):
-        yield linalg.column_space(linalg.hstack([f.vertex_maps[v] for f in maps], d))
+        nonzero = [s[v] for s in spans if s[v].shape[1]]
+        if not nonzero:
+            yield spans[0][v] if spans else linalg.zeros(d, 0)
+            continue
+        widest = max(nonzero, key=lambda b: b.shape[1])
+        yield (widest if len(nonzero) == 1 or widest.shape[1] == d
+               else linalg.column_space(linalg.hstack(nonzero, d)))
 
 
 def _in_fac(parts: list[Representation], x: Representation) -> bool:

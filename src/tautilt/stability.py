@@ -373,8 +373,8 @@ def minimal_torsion_contains(bricks, x: Representation) -> bool:
     """Membership in the minimal torsion class containing the given modules,
     decided by iterated traces (the trace is torsion, the recursion drops to
     the quotient, and the total dimension strictly decreases).  Each trace is
-    spanned by the images of the bricks' own Hom bases, so the first step
-    reads the Hom cache whenever X is a registry handle."""
+    the sum of the bricks' own traces, so the first step reads the
+    memoised per-brick traces whenever X is a registry handle."""
     bricks = list(bricks)
     current = x
     while not current.is_zero():

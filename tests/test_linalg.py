@@ -158,6 +158,20 @@ def test_sparse_kernel_edge_shapes():
     assert linalg.equal(linalg.nullspace_of_rows([{}, {1: 0}], 2), linalg.eye(2))
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_left_nullspace_of_no_columns(m):
+    # the m x 0 shortcut returns what eliminating the transpose returns
+    a = linalg.zeros(m, 0)
+    basis, free = linalg.left_nullspace(a)
+    ref, ref_free = linalg.free_nullspace(a.T)
+    assert basis.shape == (m, m) and basis.rows == ref.T.rows
+    assert free == ref_free == list(range(m))
+    assert not basis.read_only
+    if m:
+        basis[0, 0] = 5
+        assert linalg.left_nullspace(a)[0][0, 0] == 1
+
+
 def test_matrix_edge_shapes():
     for m, n in [(0, 0), (0, 3), (2, 0), (3, 2)]:
         a = linalg.zeros(m, n)

@@ -8,7 +8,9 @@ g-vector pairing identity.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,10 @@ from tautilt import enumerate_exchange_graph, linalg, modules, parse_algebra
 from tautilt.modules import (
     ModuleMap,
     Representation,
+    _in_fac,
     _is_isomorphic_symbolic,
     _trace_bases,
+    _trace_spans,
     ar_pairing,
     canonical_sort_key,
     cokernel,
@@ -52,8 +56,10 @@ from tautilt.modules import (
     zero_map,
     zero_rep,
 )
-from tautilt.stability import slate_for_node, verify_pair
+from tautilt.stability import minimal_torsion_contains, slate_for_node, verify_pair
 from tautilt.wallchamber import build_fan
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 # ----------------------------------------------------------------------
@@ -540,6 +546,83 @@ def test_quotient_from_non_reduced_bases(a3_rel):
     assert proj.target is quot
 
 
+def _reference_trace_bases(parts, x):
+    """The trace of the sum of the parts in X from first principles: per
+    vertex, the column space of every Hom(part, X) basis image side by side."""
+    maps = [f for part in parts for f in hom_basis(part, x)]
+    return [linalg.column_space(linalg.hstack([f.vertex_maps[v] for f in maps], d))
+            for v, d in enumerate(x.dims)]
+
+
+def _reference_minimal_torsion_contains(parts, x):
+    while not x.is_zero():
+        bases = _reference_trace_bases(parts, x)
+        ranks = tuple(b.shape[1] for b in bases)
+        if ranks == x.dims:
+            return True
+        if not any(ranks):
+            return False
+        x, _ = quotient_from_bases(x, bases)
+    return True
+
+
+@pytest.mark.parametrize("text", [A3_REL_TEXT, NAKAYAMA2_TEXT,
+                                  (WORKLOADS / "preproj_a3.alg").read_text(),
+                                  (WORKLOADS / "a5.alg").read_text()],
+                         ids=["a3_rel", "nakayama2", "preproj_a3", "a5"])
+def test_trace_bases_match_stacked_images(text):
+    # every node's module part and each one-summand-removed rest, traced in
+    # every registry module and every slate brick
+    graph = enumerate_exchange_graph(parse_algebra(text))
+    for idx in range(len(graph.nodes)):
+        slate_for_node(graph, idx)  # registers every slate brick
+    targets = list(graph.registry.reps)
+    checked = 0
+    for pair in graph.nodes:
+        parts = list(pair.m_parts)
+        for gens in [parts, *(parts[:i] + parts[i + 1:] for i in range(len(parts)))]:
+            for x in targets:
+                spans = list(_trace_bases(gens, x))
+                ref = _reference_trace_bases(gens, x)
+                for b, r, d in zip(spans, ref, x.dims, strict=True):
+                    assert b.shape == r.shape
+                    assert linalg.rank(linalg.hstack([b, r], d)) == r.shape[1]
+                assert _in_fac(gens, x) == all(r.shape[1] == d for r, d in zip(ref, x.dims))
+                assert (minimal_torsion_contains(gens, x)
+                        == _reference_minimal_torsion_contains(gens, x))
+                checked += 1
+    assert checked > len(graph.nodes)
+
+
+def test_in_fac_solves_each_hom_basis_once(monkeypatch):
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    parts = [projective(q, 1), projective(q, 3)]
+    x = injective(q, 2)
+    requested = Counter()
+    real = modules.hom_basis
+
+    def counting(m, n):
+        requested[m, n] += 1
+        return real(m, n)
+
+    monkeypatch.setattr(modules, "hom_basis", counting)
+    answers = {_in_fac(parts, x) for _ in range(3)}
+    answers |= {_in_fac(parts[::-1], x) for _ in range(2)}
+    assert len(answers) == 1
+    assert requested == Counter({(p, x): 1 for p in parts})
+
+
+def test_memoised_trace_spans_are_read_only(a3_rel):
+    p1 = projective(a3_rel, 1)
+    spans = _trace_spans(projective(a3_rel, 2), p1)
+    assert [b.shape[1] for b in spans] == [0, 1, 0]
+    with pytest.raises(ValueError):
+        spans[1][0, 0] = 7
+    (only,) = [b for b in _trace_bases([projective(a3_rel, 2)], p1) if b.shape[1]]
+    with pytest.raises(ValueError):
+        only[0, 0] = 7
+
+
 def test_sub_depends_only_on_spans():
     q = parse_algebra(A3_TEXT)
     p1 = projective(q, 1)
@@ -853,16 +936,22 @@ def test_interned_arrow_maps_are_not_the_callers():
                          ids=["a3_rel", "preproj_a3"])
 def test_verify_reports_independent_of_prefilled_memos(text):
     reports = []
-    for prefill in (False, True):
+    for prefill in (None, "fan", "trace_spans"):
         q = parse_algebra(text)
         graph = enumerate_exchange_graph(q)
-        if prefill:
+        if prefill == "fan":
             build_fan(graph)
         for idx in range(len(graph.nodes)):
             slate_for_node(graph, idx)
         probes = list(graph.registry.reps)
+        if prefill == "trace_spans":
+            # every probe's trace in every probe, slate bricks included,
+            # filled in reverse probe order
+            for x in reversed(probes):
+                for part in probes:
+                    _trace_spans(part, x)
         reports.append([verify_pair(pair, graph, probes) for pair in graph.nodes])
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert all(r["pass"] for r in reports[0])
 
 
