@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ Path = tuple[int, tuple[str, ...]]
 # A combo is a linear combination of parallel paths.
 Combo = dict[Path, Fraction]
 
-DEFAULT_PATH_CAP = 60
+PATH_CAP = 60
 
 
 class AlgebraError(ValueError):
@@ -41,22 +40,15 @@ def memoised(fn):
     argument (that argument itself when it is a :class:`BoundQuiver`, else
     its ``algebra``).
 
-    The key is ``(fn, *args)`` with the arguments bound and defaults applied,
-    so every spelling of one call shares one entry, and a call that is
-    already positional and complete costs one dict lookup.  A call that
-    raises stores nothing.  Arguments must be hashable, and equal arguments
-    must mean equal answers: interned representations and exchange graphs
-    key by identity, tau-tilting pairs by their parts.
+    The key is ``(fn, *args)``.  Memoised functions take their arguments
+    positionally and have no defaults, so each call has one spelling and
+    one entry; a keyword call raises ``TypeError``.  A call that raises
+    stores nothing.  Arguments must be hashable, and equal arguments must
+    mean equal answers: interned representations and exchange graphs key
+    by identity, tau-tilting pairs by their parts.
     """
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters)
-
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+    def wrapper(*args):
         first = args[0]
         memo = (first if isinstance(first, BoundQuiver) else first.algebra)._memo
         key = (fn, *args)
@@ -80,7 +72,7 @@ class BoundQuiver:
     """
 
     def __init__(self, n_vertices: int, arrows: list[Arrow],
-                 relations: list[Combo], path_cap: int = DEFAULT_PATH_CAP):
+                 relations: list[Combo]):
         if n_vertices < 1:
             raise AlgebraError("need at least one vertex")
         self.n = n_vertices
@@ -92,7 +84,6 @@ class BoundQuiver:
             if not (1 <= a.source <= self.n and 1 <= a.target <= self.n):
                 raise AlgebraError(f"arrow {a.name} touches a missing vertex")
         self.relations = [dict(r) for r in relations]
-        self.path_cap = path_cap
         self._validate_relations()
         self._rules = self._build_rules()
         self._check_local_confluence()
@@ -108,7 +99,7 @@ class BoundQuiver:
         # returns the same object, so a representation object names a value
         self._interned: dict = {}
         # every @memoised answer over this algebra, keyed by (function,
-        # *bound arguments); interned modules key by identity, hence by value
+        # *arguments); interned modules key by identity, hence by value
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -302,10 +293,10 @@ class BoundQuiver:
         length = 0
         while frontier:
             length += 1
-            if length > self.path_cap:
+            if length > PATH_CAP:
                 raise AlgebraError(
-                    f"path basis does not stabilise below length {self.path_cap}; "
-                    "ideal is not admissible (or raise the cap)")
+                    f"path basis does not stabilise below length {PATH_CAP}; "
+                    "ideal is not admissible")
             new_frontier: list[Path] = []
             for p in frontier:
                 tgt = self.path_target(p)
@@ -397,7 +388,7 @@ _ARROW_RE = re.compile(r"^arrow\s+(\w+)\s*:\s*(\d+)\s*->\s*(\d+)$")
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_algebra(text: str, path_cap: int = DEFAULT_PATH_CAP) -> BoundQuiver:
+def parse_algebra(text: str) -> BoundQuiver:
     """Parse the line-oriented algebra file format.
 
     Grammar::
@@ -417,22 +408,24 @@ def parse_algebra(text: str, path_cap: int = DEFAULT_PATH_CAP) -> BoundQuiver:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("vertices"):
+        directive = line.split()[0]
+        body = line[len(directive):]
+        if directive == "vertices":
             if n is not None:
                 raise AlgebraError(f"line {lineno}: duplicate vertices line")
             try:
-                n = int(line.split()[1])
-            except (IndexError, ValueError):
+                (n,) = map(int, body.split())
+            except ValueError:
                 raise AlgebraError(f"line {lineno}: malformed vertices line") from None
             if n < 1:
                 raise AlgebraError(f"line {lineno}: vertex count must be positive")
-        elif line.startswith("arrow"):
+        elif directive == "arrow":
             m = _ARROW_RE.match(line)
             if not m:
                 raise AlgebraError(f"line {lineno}: malformed arrow line")
             arrows.append(Arrow(m.group(1), int(m.group(2)), int(m.group(3))))
-        elif line.startswith("relation"):
-            relation_specs.append((lineno, line[len("relation"):].strip()))
+        elif directive == "relation":
+            relation_specs.append((lineno, body.strip()))
         else:
             raise AlgebraError(f"line {lineno}: unrecognised directive")
     if n is None:
@@ -492,4 +485,4 @@ def parse_algebra(text: str, path_cap: int = DEFAULT_PATH_CAP) -> BoundQuiver:
             raise AlgebraError(f"line {lineno}: relation cancels to zero")
         relations.append(combo)
 
-    return BoundQuiver(n, arrows, relations, path_cap=path_cap)
+    return BoundQuiver(n, arrows, relations)

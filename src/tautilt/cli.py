@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--prime", type=int, default=2,
                    help="prime for the brute-force stability oracle, at most "
                         f"{BRUTE_FORCE_BUDGET} (the oracle's budget)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     return p
 
@@ -98,13 +98,13 @@ def _emit(text: str, path: str | None) -> None:
         raise _WriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _probes_for(graph, min_count: int = 8):
-    """Probe modules: every registry indecomposable, padded with direct sums."""
+def _probes_for(graph):
+    """Probe modules: every registry indecomposable, padded with direct sums to 8."""
     base = list(graph.registry.reps)
     probes = list(base)
     if base:
         i = 0
-        while len(probes) < min_count:
+        while len(probes) < 8:
             a = base[i % len(base)]
             b = base[(i // len(base)) % len(base)]
             probes.append(direct_sum(graph.algebra, [a, b]))
@@ -145,7 +145,7 @@ def cmd_info(q, args) -> int:
 
 
 def cmd_enumerate(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
+    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
     if args.format == "json":
         payload = {
             "algebra": q.fingerprint(),
@@ -181,7 +181,7 @@ def cmd_enumerate(q, args) -> int:
 
 
 def cmd_verify(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
+    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
     if not graph.complete:
         _emit(json.dumps({"error": "graph truncated; cannot verify"},
                          sort_keys=True) + "\n", args.output)
@@ -196,7 +196,7 @@ def cmd_verify(q, args) -> int:
     brick_reports = []
     for bid in sorted(bricks):
         b = bricks[bid]
-        witness = self_extension_witness(b, graph.registry.reps, seed=args.seed)
+        witness = self_extension_witness(b, graph.registry.reps)
         brick_reports.append({
             "dim_vector": list(b.dims),
             "ext1_self_dim": ext1_dim(b, b),
@@ -219,7 +219,7 @@ def cmd_fan(q, args) -> int:
     if fmt == "svg" and q.n != 3:
         sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
         return EXIT_INPUT
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
+    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
     try:
         fan = build_fan(graph, prime=args.prime)
     except EnumerationError as exc:
@@ -238,7 +238,7 @@ def cmd_fan(q, args) -> int:
 
 
 def cmd_graph(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim, args.seed)
+    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
     try:
         dot = emit_dot(graph)
     except EnumerationError as exc:

@@ -684,9 +684,10 @@ def _minimal_approximation(x: Representation, n: list[Representation],
 # decomposition and isomorphism
 # ----------------------------------------------------------------------
 
-def _derived_rng(seed: int, m: Representation) -> random.Random:
+def _derived_rng(salt: int, m: Representation) -> random.Random:
+    """Draws fixed by the value of M: salt 0 splits, salt 1 certifies a field."""
     h = hashlib.sha256()
-    h.update(str(seed).encode())
+    h.update(str(salt).encode())
     h.update(m.fingerprint().encode())
     return random.Random(int.from_bytes(h.digest()[:8], "big"))
 
@@ -772,7 +773,7 @@ def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.
 
 
 def _random_coefficients(rng: random.Random, k: int) -> list[Fraction]:
-    """``k`` seeded coefficients in [-9, 9], drawn in order."""
+    """``k`` coefficients in [-9, 9], drawn in order."""
     return [Fraction(rng.randint(-9, 9)) for _ in range(k)]
 
 
@@ -791,7 +792,7 @@ def _end_quotient_is_field(structure: list[linalg.Matrix], rad_cols: linalg.Matr
     codimension at least 2.
 
     Checks commutativity of the semisimple quotient and then looks for a
-    primitive element: a seeded element whose minimal polynomial on the
+    primitive element: a sampled element whose minimal polynomial on the
     quotient is irreducible of full degree.  Only positive certificates are
     returned; inconclusive sampling yields False.
     """
@@ -838,26 +839,26 @@ def end_radical_basis(m: Representation) -> list[ModuleMap]:
             for coefs in rad_cols.T.tolist()]
 
 
-def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
+def decompose(m: Representation) -> list[tuple[Representation, int]]:
     """Split into indecomposable summands with multiplicities.
 
     A module whose End/rad is the rationals is local, hence indecomposable,
     and is returned whole without any search.  Otherwise splitting
     endomorphisms are found by factoring minimal polynomials of
-    endomorphisms (basis elements, their products, then seeded random
-    combinations).  Raises :class:`DecompositionError` if no splitting is
-    found but the endomorphism ring is provably non-local.  The search
-    depends only on the value of M and the seed, so the answer is memoised
-    per (module, seed); each call returns a fresh list.
+    endomorphisms (basis elements, their products, then random combinations
+    drawn from the value of M).  Raises :class:`DecompositionError` if no
+    splitting is found but the endomorphism ring is provably non-local.
+    The search depends only on the value of M, so the answer is memoised
+    per module; each call returns a fresh list.
     """
-    return list(_decompose(m, seed))
+    return list(_decompose(m))
 
 
 @memoised
-def _decompose(m: Representation, seed: int) -> tuple[tuple[Representation, int], ...]:
+def _decompose(m: Representation) -> tuple[tuple[Representation, int], ...]:
     if m.is_zero():
         return ()
-    pieces = _decompose_rec(m, seed)
+    pieces = _decompose_rec(m)
     groups: list[tuple[Representation, int]] = []
     for piece in pieces:
         for k, (rep, mult) in enumerate(groups):
@@ -870,7 +871,7 @@ def _decompose(m: Representation, seed: int) -> tuple[tuple[Representation, int]
     return tuple(groups)
 
 
-def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
+def _decompose_rec(m: Representation) -> list[Representation]:
     endos = hom_basis(m, m)
     if len(endos) == 1:
         return [m]
@@ -881,7 +882,7 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
     trials: list[ModuleMap] = list(endos)
     for e, f in itertools.islice(itertools.product(endos, endos), 64):
         trials.append(e.compose(f))
-    rng = _derived_rng(seed, m)
+    rng = _derived_rng(0, m)
     for _ in range(32):
         vm = _combination(endos, _random_coefficients(rng, len(endos)))
         trials.append(ModuleMap(m, m, vm, check=False))
@@ -890,9 +891,9 @@ def _decompose_rec(m: Representation, seed: int) -> list[Representation]:
         if parts is not None and len(parts) >= 2:
             out: list[Representation] = []
             for part in parts:
-                out.extend(_decompose_rec(part, seed))
+                out.extend(_decompose_rec(part))
             return out
-    if _end_quotient_is_field(structure, rad_cols, _derived_rng(seed + 1, m)):
+    if _end_quotient_is_field(structure, rad_cols, _derived_rng(1, m)):
         # local endomorphism ring with a residue field larger than the
         # rationals: indecomposable here, though it may split after a base
         # field extension

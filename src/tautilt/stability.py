@@ -281,7 +281,7 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
                                        _trace_bases(list(almost.m_parts), exchanged))
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
-    summands = decompose(generator, seed=graph.seed)
+    summands = decompose(generator)
     if len(summands) != 1:
         raise TheoremViolationError(
             "semistable generator has non-isomorphic indecomposable summands")
@@ -356,7 +356,7 @@ def b_plus(slate: BrickSlate) -> list[Representation]:
 
 @memoised
 def slate_for_node(graph: ExchangeGraph, idx: int) -> BrickSlate:
-    """The slate of node ``idx``, under the seed the graph was enumerated with."""
+    """The slate of node ``idx``, memoised per (graph, node)."""
     return brick_slate(graph.nodes[idx], graph)
 
 
@@ -443,15 +443,14 @@ def semibrick_to_pair(bricks, graph: ExchangeGraph):
 # self-extensions (exceptionality witness)
 # ----------------------------------------------------------------------
 
-def self_extension_witness(brick: Representation, candidates,
-                           seed: int = 0) -> Representation | None:
+def self_extension_witness(brick: Representation, candidates) -> Representation | None:
     """Search the candidates for a non-split self-extension of the brick:
     an indecomposable E with a submodule and quotient both isomorphic to it."""
     target_dims = tuple(2 * d for d in brick.dims)
     for e in candidates:
         if e.dims != target_dims:
             continue
-        parts = decompose(e, seed=seed)
+        parts = decompose(e)
         if len(parts) != 1 or parts[0][1] != 1:
             continue
         for f in hom_basis(brick, e):

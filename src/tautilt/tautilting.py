@@ -206,8 +206,7 @@ def slot_mutates_down(pair: TauPair, r: int) -> bool:
                                        payload)
 
 
-def mutate_down(pair: TauPair, r: int, seed: int = 0,
-                max_dim: int | None = None) -> TauPair:
+def mutate_down(pair: TauPair, r: int, max_dim: int | None = None) -> TauPair:
     """The Fac-smaller completion of the almost pair at module slot r.
 
     Computed from the exchange sequence of the minimal left approximation of
@@ -227,7 +226,7 @@ def mutate_down(pair: TauPair, r: int, seed: int = 0,
     if not coker.is_zero():
         if max_dim is not None and coker.total_dim > max_dim:
             raise _DimLimit(coker.total_dim)
-        summands = decompose(coker, seed=seed)
+        summands = decompose(coker)
         if len(summands) != 1:
             raise EnumerationError(
                 f"exchange cokernel splits into {len(summands)} distinct classes")
@@ -324,10 +323,8 @@ class ExchangeGraph:
     edges: list[Edge]
     complete: bool
     registry: ModuleRegistry
-    seed: int = 0
     max_nodes: int = DEFAULT_MAX_NODES
     max_dim: int = DEFAULT_MAX_DIM
-    fingerprint: str = ""
 
     def __post_init__(self) -> None:
         part_ids = [[self.registry.find(x) for x in node.m_parts] for node in self.nodes]
@@ -370,21 +367,23 @@ class ExchangeGraph:
         return e
 
 
-@memoised
-def enumerate_exchange_graph(q: BoundQuiver,
-                             max_nodes: int = DEFAULT_MAX_NODES,
-                             max_dim: int = DEFAULT_MAX_DIM,
-                             seed: int = 0) -> ExchangeGraph:
+def enumerate_exchange_graph(q: BoundQuiver, max_nodes: int = DEFAULT_MAX_NODES,
+                             max_dim: int = DEFAULT_MAX_DIM) -> ExchangeGraph:
     """Breadth-first mutation closure from (A, 0).
 
     Nodes are deduplicated through a canonical module registry; the complete
     flag is set when the closure terminated inside the limits, in which case
     the graph is n-regular and connected.  Exceeding a limit yields a
     truncated graph (flag unset) rather than an error.  Memoised per
-    (algebra, limits, seed), so every caller shares one graph.
+    (algebra, limits), so every caller shares one graph.
     """
     if max_nodes < 1 or max_dim < 1:
         raise ValueError("limits must be positive")
+    return _enumerate_exchange_graph(q, max_nodes, max_dim)
+
+
+@memoised
+def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> ExchangeGraph:
     registry = ModuleRegistry()
     start = TauPair(q, tuple(registry.handle(projective(q, i))
                              for i in range(1, q.n + 1)), ())
@@ -397,7 +396,7 @@ def enumerate_exchange_graph(q: BoundQuiver,
             if not slot_mutates_down(pair, r):
                 continue
             try:
-                new_pair = mutate_down(pair, r, seed=seed, max_dim=max_dim)
+                new_pair = mutate_down(pair, r, max_dim=max_dim)
             except _DimLimit:
                 truncated = True
                 continue
@@ -419,7 +418,7 @@ def enumerate_exchange_graph(q: BoundQuiver,
     edges = sorted((Edge(relabel[src], relabel[dst], slot, col)
                     for src, dst, slot, col in raw_edges), key=lambda e: (e.src, e.slot))
     graph = ExchangeGraph(q, [nodes[i] for i in order], edges, not truncated, registry,
-                          seed, max_nodes, max_dim, q.fingerprint())
+                          max_nodes, max_dim)
     if graph.complete:
         for i in range(len(nodes)):
             if graph.degree(i) != q.n:
@@ -435,8 +434,7 @@ def _node_sort_key(q: BoundQuiver, pair: TauPair):
 
 
 def complete_almost_pair(almost: TauPair,
-                         graph: ExchangeGraph | None = None,
-                         seed: int = 0) -> tuple[TauPair, TauPair]:
+                         graph: ExchangeGraph | None = None) -> tuple[TauPair, TauPair]:
     """The two tau-tilting completions of an almost pair, Fac-larger first.
 
     Read off the edge that joins them in the (memoised) exchange graph of the
@@ -446,7 +444,7 @@ def complete_almost_pair(almost: TauPair,
     if not almost.is_almost_tilting():
         raise ValueError("input must have exactly n - 1 summands")
     if graph is None:
-        graph = enumerate_exchange_graph(almost.algebra, seed=seed)
+        graph = enumerate_exchange_graph(almost.algebra)
     e = graph.completion_edge(almost)
     return graph.nodes[e.src], graph.nodes[e.dst]
 

@@ -105,7 +105,7 @@ def build_fan(graph: ExchangeGraph, prime: int = 2) -> Fan:
                 wall_by_brick[bid] = wall_of_brick(graph.registry.reps[bid], prime)
     walls = tuple(w for _bid, w in sorted(wall_by_brick.items(),
                                           key=lambda kv: (kv[1].normal, kv[0])))
-    return Fan(graph.fingerprint, tuple(chambers), walls)
+    return Fan(graph.algebra.fingerprint(), tuple(chambers), walls)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ def emit_dot(graph: ExchangeGraph) -> str:
     """Deterministic DOT digraph; arrows run from the Fac-larger node and
     carry the positive c-vector and the brick dimension vector."""
     lines = ["digraph exchange {"]
-    lines.append(f'  label="exchange graph ({graph.fingerprint})";')
+    lines.append(f'  label="exchange graph ({graph.algebra.fingerprint()})";')
     for idx, pair in enumerate(graph.nodes):
         lines.append(f'  n{idx} [label="{pair.descriptor()}"];')
     for e in sorted(graph.edges, key=lambda e: (e.src, e.slot)):
@@ -165,6 +165,7 @@ def emit_fan_json(fan: Fan) -> str:
 
 _SVG_SCALE = 60.0
 _SVG_HALF = 480.0
+_SVG_PROJECTION_POINT = (1, 1, 1)
 _PALETTE = ["#c0392b", "#1e8449", "#1f4e9c", "#7d3c98", "#8a6d3b",
             "#0e7c7b", "#b7543d", "#5d6d7e"]
 
@@ -327,18 +328,18 @@ def chamber_tag_direction(chamber: Chamber) -> tuple[float, ...]:
     return _normalize(s)
 
 
-def emit_svg_stereographic(fan: Fan, projection_point=(1, 1, 1)) -> str:
+def emit_svg_stereographic(fan: Fan) -> str:
     """Stereographic picture of the rank-3 wall-and-chamber structure.
 
     Each wall contributes the projection of its sphere circle (clipped to the
     facet-allowed arcs); each chamber is tagged at the projection of its
     normalised g-vector barycenter.  Projection is taken from the normalised
-    projection point, so a tag aligned with it is pinned to a margin corner.
+    (1, 1, 1), so a tag aligned with it is pinned to a margin corner.
     """
     n = len(fan.chambers[0].generators[0]) if fan.chambers else 0
     if n != 3:
         raise ValueError("stereographic emission requires a rank-3 algebra")
-    q = _normalize(projection_point)
+    q = _normalize(_SVG_PROJECTION_POINT)
     trial = (1.0, -1.0, 0.0)
     dot = sum(a * b for a, b in zip(trial, q))
     u = _normalize(tuple(t - dot * m for t, m in zip(trial, q)))

@@ -115,6 +115,22 @@ def test_syntax_errors_carry_line_numbers():
         parse_algebra("arrow a: 1 -> 2")  # missing vertices
 
 
+@pytest.mark.parametrize("text, message", [
+    ("verticesXY 2\n", "line 1: unrecognised directive"),
+    ("vertices 2 3\n", "line 1: malformed vertices line"),
+    ("vertices\n", "line 1: malformed vertices line"),
+    ("vertices 2\narrow a: 1 -> 2\nrelationship a\n", "line 3: unrecognised directive"),
+    ("vertices 3\narrow a: 1 -> 2\narrow b: 2 -> 3\nrelationa*b\n",
+     "line 4: unrecognised directive"),
+    ("vertices 2\narrows a: 1 -> 2\n", "line 2: unrecognised directive"),
+], ids=["vertices-prefix", "vertices-extra", "vertices-bare", "relation-prefix",
+        "relation-glued", "arrow-prefix"])
+def test_directive_is_the_whole_first_token(text, message):
+    with pytest.raises(AlgebraError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == message
+
+
 def test_normal_form_multiplication(a3_rel):
     p = (1, ("a",))
     qq = (2, ("b",))

@@ -146,6 +146,17 @@ def run_cli_err(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("text", ["verticesXY 2\n", "vertices 2 3\n",
+                                  "vertices 2\narrow a: 1 -> 2\nrelationship a\n"],
+                         ids=["vertices-prefix", "vertices-extra", "relation-prefix"])
+def test_misspelt_directive_exit(tmp_path, capsys, text):
+    f = tmp_path / "bad.alg"
+    f.write_text(text)
+    code, out, err = run_cli_err([str(f), "info"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line") and "Traceback" not in err
+
+
 def test_non_utf8_file_exit(tmp_path, capsys):
     f = tmp_path / "bad.alg"
     f.write_bytes(b"\xff\xfe")
@@ -279,9 +290,10 @@ def test_determinism_subprocess(tmp_path):
 
 def test_verify_determinism_subprocess(tmp_path):
     # no memo may make the report depend on the process: per seed, two
-    # fresh processes print the same bytes
+    # fresh processes print the same bytes, and --seed changes none of them
     f = tmp_path / "a3_rel.alg"
     f.write_text(A3_REL_TEXT)
+    per_seed = []
     for seed in ("0", "1"):
         outputs = [subprocess.run([sys.executable, "-m", "tautilt.cli", str(f), "verify",
                                    "--seed", seed],
@@ -289,6 +301,8 @@ def test_verify_determinism_subprocess(tmp_path):
                    for _ in range(2)]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["all_pass"] is True
+        per_seed.append(outputs[0])
+    assert per_seed[0] == per_seed[1]
 
 
 # runs the CLI in a fresh process and fails unless sympy and numpy stayed unloaded

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, A3_TEXT, CORPUS_TEXTS, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import enumerate_exchange_graph, linalg, modules, parse_algebra
+from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra
 from tautilt.modules import (
     ModuleMap,
     Representation,
@@ -983,12 +983,29 @@ def test_cached_hom_basis_matrices_are_read_only(a3_rel):
     assert hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))[0].vertex_maps[1][0, 0] == 1
 
 
-def test_decompose_spellings_share_one_memo_entry():
-    q = parse_algebra(A3_REL_TEXT)
-    m = direct_sum(q, [projective(q, 1), simple(q, 3)])
-    assert decompose(m) == decompose(m, seed=0) == decompose(m, 0)
-    helper = modules._decompose.__wrapped__
-    assert sum(key[0] is helper and key[1] is m for key in q._memo) == 1
+def test_fan_decomposes_each_module_once(monkeypatch, tmp_path):
+    # one memo entry per module: the isomorphism fallback's decompositions
+    # and the engine's share it whatever --seed the CLI is given
+    calls = []
+    original = modules._decompose_rec
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(modules, "_decompose_rec", counting)
+    out = tmp_path / "fan.svg"
+    assert cli.main([str(WORKLOADS / "preproj_a3.alg"), "fan", "--format", "svg",
+                     "--seed", "1", "-o", str(out)]) == 0
+    assert out.read_text().startswith("<svg")
+    assert calls and max(Counter(calls).values()) == 1
+
+
+def test_memoised_calls_are_positional(a3_rel):
+    p1, p2 = projective(a3_rel, 1), projective(a3_rel, 2)
+    with pytest.raises(TypeError):
+        hom_basis(p2, n=p1)
+    assert hom_basis(p2, p1) is hom_basis(p2, p1)
 
 
 def test_raising_call_stores_nothing():

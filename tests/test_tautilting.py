@@ -363,10 +363,11 @@ def test_raising_g_matrix_stores_nothing():
 def test_graph_spellings_share_one_memo_entry():
     q = parse_algebra(PREPROJ_A3_TEXT)
     graph = enumerate_exchange_graph(q)
-    assert enumerate_exchange_graph(q, seed=0) is graph
     assert enumerate_exchange_graph(
-        q, tautilting.DEFAULT_MAX_NODES, tautilting.DEFAULT_MAX_DIM, 0) is graph
-    enumerate_fn = tautilting.enumerate_exchange_graph.__wrapped__
+        q, tautilting.DEFAULT_MAX_NODES, tautilting.DEFAULT_MAX_DIM) is graph
+    assert enumerate_exchange_graph(q, max_dim=tautilting.DEFAULT_MAX_DIM,
+                                    max_nodes=tautilting.DEFAULT_MAX_NODES) is graph
+    enumerate_fn = tautilting._enumerate_exchange_graph.__wrapped__
     assert sum(key[0] is enumerate_fn for key in q._memo) == 1
 
 
