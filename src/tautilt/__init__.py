@@ -44,6 +44,7 @@ from .tautilting import (
     is_tau_rigid_pair,
     remove_summand,
     sign_coherence,
+    signed_g_vectors,
 )
 from .stability import (
     BrickSlate,

@@ -22,6 +22,10 @@ Path = tuple[int, tuple[str, ...]]
 Combo = dict[Path, Fraction]
 
 PATH_CAP = 60
+# basis paths past this many mean the ideal is not admissible or the algebra
+# is far beyond exact enumeration; without it, irreducible paths that double
+# with each length (two free loops) would be listed until memory runs out
+BASIS_CAP = 10_000
 
 
 class AlgebraError(ValueError):
@@ -307,6 +311,10 @@ class BoundQuiver:
                     if self._reduce_once(q, self._rules) is None:
                         new_frontier.append(q)
             basis.extend(new_frontier)
+            if len(basis) > BASIS_CAP:
+                raise AlgebraError(
+                    f"path basis exceeds {BASIS_CAP} paths; ideal is not admissible "
+                    "or the algebra is too large")
             frontier = new_frontier
         return basis
 

@@ -416,21 +416,19 @@ def as_int_matrix(a: Matrix) -> list[list[int]]:
 
 
 def min_poly(a: Matrix) -> list[Fraction]:
-    """Coefficients (low to high degree, monic) of the minimal polynomial."""
+    """Coefficients (low to high degree, monic) of the minimal polynomial.
+
+    The powers I, A, ..., A^n, each flattened to a column, are eliminated
+    once.  A power in the span of the lower ones keeps every later power
+    there too, so the first free column is the degree d, and the kernel
+    vector at it (1 at d, 0 beyond) holds the coefficients."""
     n = a.shape[0]
     if n == 0:
         return [Fraction(0), Fraction(1)]
-    power = eye(n)
-    stacked = zeros(n * n, 0)
-    for _ in range(n + 1):
-        vec = power.reshape(n * n, 1)
-        candidate = hstack([stacked, vec], n * n)
-        if rank(candidate) < candidate.shape[1]:
-            coeffs = solve(stacked, vec)
-            assert coeffs is not None
-            poly = [-Fraction(coeffs[i, 0]) for i in range(coeffs.shape[0])]
-            poly.append(Fraction(1))
-            return poly
-        stacked = candidate
-        power = power @ a
-    raise AssertionError("minimal polynomial not found within degree bound")
+    powers = [eye(n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ a)
+    stacked = Matrix([[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)],
+                     n + 1)
+    basis, free = free_nullspace(stacked)
+    return [basis[i, 0] for i in range(free[0] + 1)]

@@ -490,16 +490,13 @@ def minimal_projective_presentation(m: Representation) -> ProjectivePresentation
                                   pres_map, cover, omega, omega_incl)
 
 
-def g_vector(m: Representation, shifted: bool = False) -> tuple[int, ...]:
+def g_vector(m: Representation) -> tuple[int, ...]:
     """Integer vector a - a' of projective multiplicities in the minimal
-    presentation; negated when the module stands for a shifted projective."""
+    presentation."""
     pres = minimal_projective_presentation(m)
     a = Counter(pres.p0_vertices)
     a1 = Counter(pres.p1_vertices)
-    g = tuple(a[i] - a1[i] for i in range(1, m.algebra.n + 1))
-    if shifted:
-        g = tuple(-x for x in g)
-    return g
+    return tuple(a[i] - a1[i] for i in range(1, m.algebra.n + 1))
 
 
 def is_projective_rep(m: Representation) -> bool:

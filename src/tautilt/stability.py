@@ -22,11 +22,9 @@ from .modules import (
     cokernel,
     decompose,
     end_radical_basis,
-    g_vector,
     hom_basis,
     hom_dim,
     is_isomorphic,
-    projective,
     quotient_from_bases,
     tau,
 )
@@ -39,6 +37,7 @@ from .tautilting import (
     g_matrix,
     remove_summand,
     sign_coherence,
+    signed_g_vectors,
     slot_mutates_down,
 )
 
@@ -53,43 +52,25 @@ class BudgetExceeded(RuntimeError):
 # stability vectors
 # ----------------------------------------------------------------------
 
-def theta_of_pair(pair: TauPair, weights=None) -> tuple[Fraction, ...]:
-    """Weighted combination of slot g-vectors (projective slots negated).
-
-    All weights must be positive; unit weights by default.  The semistable
-    subcategory attached to the pair does not depend on the weights.
-    """
-    n = pair.algebra.n
-    slots = pair.slots()
-    if weights is None:
-        weights = [Fraction(1)] * len(slots)
-    weights = [Fraction(w) for w in weights]
-    if len(weights) != len(slots):
-        raise ValueError("one weight per slot is required")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    theta = [Fraction(0)] * n
-    for (kind, payload), w in zip(slots, weights):
-        if kind == "m":
-            g = g_vector(payload)
-        else:
-            g = g_vector(projective(pair.algebra, payload), shifted=True)
-        for i in range(n):
-            theta[i] += w * g[i]
-    return tuple(theta)
+def theta_of_pair(pair: TauPair) -> tuple[int, ...]:
+    """The stability vector of a rigid pair: the sum of its signed g-vectors
+    (projective slots negated)."""
+    vectors = signed_g_vectors(pair)
+    return tuple(sum(g[i] for g in vectors) for i in range(pair.algebra.n))
 
 
-def theta_of_slot(pair: TauPair, r: int) -> tuple[Fraction, ...]:
-    """Stability vector of the almost pair obtained by dropping slot r."""
-    almost = remove_summand(pair, r)
-    if almost.n_summands == 0:
-        return tuple(Fraction(0) for _ in range(pair.algebra.n))
-    return theta_of_pair(almost)
+def theta_of_slot(pair: TauPair, r: int) -> tuple[int, ...]:
+    """Stability vector of the almost pair obtained by dropping slot r: the
+    pair's vector minus the signed g-vector of slot r."""
+    vectors = signed_g_vectors(pair)
+    if not 0 <= r < len(vectors):
+        raise ValueError(f"slot {r} out of range")
+    return tuple(t - g for t, g in zip(theta_of_pair(pair), vectors[r]))
 
 
-def pairing(theta, dims) -> Fraction | int:
-    """<theta, dims>: an int for an integer theta, a Fraction for rational weights."""
-    return sum((t * d for t, d in zip(theta, dims)), 0)
+def pairing(theta, dims) -> int:
+    """<theta, dims>."""
+    return sum(t * d for t, d in zip(theta, dims))
 
 
 # ----------------------------------------------------------------------
@@ -229,29 +210,27 @@ def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int,
     return frozenset(tuple(len(s[v]) for v in range(q.n)) for s in subs)
 
 
-def is_semistable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
-    """King's condition checked literally over the enumerated submodules."""
+def _king_condition(x: Representation, theta, p: int, strict: bool) -> bool:
+    """King's condition checked literally: <theta, dim X> = 0 and
+    <theta, dim L> <= 0 (< 0 when strict) over the enumerated proper nonzero
+    submodules L.  The enumeration runs only once the equation holds."""
     if pairing(theta, x.dims) != 0:
         return False
     zero = (0,) * x.algebra.n
     for d in submodule_dim_vectors(x, p):
-        if d in (zero, x.dims):
-            continue
-        if pairing(theta, d) > 0:
-            return False
+        if d not in (zero, x.dims):
+            value = pairing(theta, d)
+            if value > 0 or (strict and value == 0):
+                return False
     return True
+
+
+def is_semistable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
+    return _king_condition(x, theta, p, False)
 
 
 def is_stable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
-    if x.is_zero() or pairing(theta, x.dims) != 0:
-        return False
-    zero = (0,) * x.algebra.n
-    for d in submodule_dim_vectors(x, p):
-        if d in (zero, x.dims):
-            continue
-        if pairing(theta, d) >= 0:
-            return False
-    return True
+    return not x.is_zero() and _king_condition(x, theta, p, True)
 
 
 # ----------------------------------------------------------------------
@@ -291,10 +270,7 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
         raise TheoremViolationError("extracted module is not a brick")
     if not is_semistable_hom(brick, almost):
         raise TheoremViolationError("extracted brick fails the Hom criterion")
-    # theta_of_slot, read off the memoised integer g-matrix: the row sum
-    # minus column r
-    theta = [sum(row) - row[r] for row in g_matrix(pair).tolist()]
-    if pairing(theta, brick.dims) != 0:
+    if pairing(theta_of_slot(pair, r), brick.dims) != 0:
         raise TheoremViolationError("extracted brick is not on the stability wall")
     return brick
 
@@ -496,9 +472,7 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> 
                 ok_cxd = False
     report["checks"]["c_eq_xd"] = ok_cxd
 
-    # theta is the row sum of the integer g-matrix; dropping slot r subtracts
-    # column r (theta_of_pair and theta_of_slot, without rebuilding g-vectors)
-    theta = [sum(row) for row in g.tolist()]
+    theta = theta_of_pair(pair)
     ok_theta = all(pairing(theta, slate.bricks[r].dims) == slate.d_diagonal[r]
                    for r in range(q.n))
     report["checks"]["theta_pairing"] = ok_theta
@@ -529,7 +503,7 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> 
     skipped = 0
     for r in range(q.n):
         almost = remove_summand(pair, r)
-        theta_r = [t - g[i, r] for i, t in enumerate(theta)]
+        theta_r = theta_of_slot(pair, r)
         for x in probes:
             try:
                 brute = is_semistable_bruteforce(x, theta_r, prime)

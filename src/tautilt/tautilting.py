@@ -140,20 +140,22 @@ def remove_summand(pair: TauPair, r: int) -> TauPair:
 # ----------------------------------------------------------------------
 
 @memoised
+def signed_g_vectors(pair: TauPair) -> tuple[tuple[int, ...], ...]:
+    """One integer vector per slot, in canonical slot order: the g-vector of
+    a module slot, the negated g-vector of P(j) for a projective slot j.
+    Defined for every pair; memoised per pair."""
+    return tuple(g_vector(payload) if kind == "m"
+                 else tuple(-x for x in g_vector(projective(pair.algebra, payload)))
+                 for kind, payload in pair.slots())
+
+
+@memoised
 def g_matrix(pair: TauPair) -> linalg.Matrix:
-    """Columns are g-vectors of the module slots and negated g-vectors of the
-    projective slots, in canonical slot order.  The determinant is +-1.
+    """Columns are the signed g-vectors of the slots.  The determinant is +-1.
     Memoised per pair; the read-only result is shared by every caller."""
     if not pair.is_tilting():
         raise ValueError("g-matrix is defined for pairs with n summands")
-    n = pair.algebra.n
-    cols = []
-    for kind, payload in pair.slots():
-        if kind == "m":
-            cols.append(g_vector(payload))
-        else:
-            cols.append(g_vector(projective(pair.algebra, payload), shifted=True))
-    g = linalg.Matrix([list(row) for row in zip(*cols)], n)
+    g = linalg.Matrix([list(row) for row in zip(*signed_g_vectors(pair))], pair.algebra.n)
     d = linalg.det(g)
     if d not in (1, -1):
         raise TheoremViolationError(f"g-matrix determinant is {d}, expected +-1")
@@ -206,12 +208,13 @@ def slot_mutates_down(pair: TauPair, r: int) -> bool:
                                        payload)
 
 
-def mutate_down(pair: TauPair, r: int, max_dim: int | None = None) -> TauPair:
+def mutate_down(pair: TauPair, r: int, max_dim: int) -> TauPair:
     """The Fac-smaller completion of the almost pair at module slot r.
 
     Computed from the exchange sequence of the minimal left approximation of
     the removed summand into add of the remaining module part; when the
     cokernel vanishes the summand moves to the shifted-projective side.
+    A cokernel of total dimension above ``max_dim`` raises ``_DimLimit``.
     Every candidate is validated before being returned.
     """
     kind, payload = pair.slots()[r]
@@ -224,7 +227,7 @@ def mutate_down(pair: TauPair, r: int, max_dim: int | None = None) -> TauPair:
     approx = minimal_left_approximation(payload, rest)
     coker, _ = cokernel(approx.map)
     if not coker.is_zero():
-        if max_dim is not None and coker.total_dim > max_dim:
+        if coker.total_dim > max_dim:
             raise _DimLimit(coker.total_dim)
         summands = decompose(coker)
         if len(summands) != 1:
@@ -396,7 +399,7 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
             if not slot_mutates_down(pair, r):
                 continue
             try:
-                new_pair = mutate_down(pair, r, max_dim=max_dim)
+                new_pair = mutate_down(pair, r, max_dim)
             except _DimLimit:
                 truncated = True
                 continue
@@ -433,18 +436,14 @@ def _node_sort_key(q: BoundQuiver, pair: TauPair):
     return (len(pair.p_parts), flat)
 
 
-def complete_almost_pair(almost: TauPair,
-                         graph: ExchangeGraph | None = None) -> tuple[TauPair, TauPair]:
+def complete_almost_pair(almost: TauPair, graph: ExchangeGraph) -> tuple[TauPair, TauPair]:
     """The two tau-tilting completions of an almost pair, Fac-larger first.
 
-    Read off the edge that joins them in the (memoised) exchange graph of the
-    algebra; a truncated graph that does not exhibit both completions raises
-    EnumerationError.
+    Read off the edge that joins them in the exchange graph; a truncated
+    graph that does not exhibit both completions raises EnumerationError.
     """
     if not almost.is_almost_tilting():
         raise ValueError("input must have exactly n - 1 summands")
-    if graph is None:
-        graph = enumerate_exchange_graph(almost.algebra)
     e = graph.completion_edge(almost)
     return graph.nodes[e.src], graph.nodes[e.dst]
 

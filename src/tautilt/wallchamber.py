@@ -30,7 +30,6 @@ FAN_SCHEMA_VERSION = 1
 class Wall:
     """Codimension-one stability space of a brick: the hyperplane normal to
     its dimension vector, cut by <theta, L> <= 0 over proper submodules L."""
-    brick_dims: tuple[int, ...]
     normal: tuple[int, ...]
     facets: tuple[tuple[int, ...], ...]
 
@@ -48,7 +47,6 @@ class Fan:
     algebra_fingerprint: str
     chambers: tuple[Chamber, ...]
     walls: tuple[Wall, ...]
-    reachable_only: bool = True
 
 
 def chamber_of_pair(pair: TauPair, pair_id: int = 0) -> Chamber:
@@ -72,7 +70,7 @@ def wall_of_brick(brick: Representation, p: int = 2) -> Wall:
     zero = (0,) * brick.algebra.n
     facets = sorted(d for d in submodule_dim_vectors(brick, p)
                     if d not in (zero, dims))
-    return Wall(dims, dims, tuple(facets))
+    return Wall(dims, tuple(facets))
 
 
 def shared_wall(pair1: TauPair, pair2: TauPair,
@@ -134,10 +132,12 @@ def emit_dot(graph: ExchangeGraph) -> str:
 # ----------------------------------------------------------------------
 
 def emit_fan_json(fan: Fan) -> str:
+    """Fan JSON.  Its chambers are the nodes reached by mutation, and each
+    wall's normal is its brick's dimension vector ("brick_dim")."""
     payload = {
         "version": FAN_SCHEMA_VERSION,
         "algebra": fan.algebra_fingerprint,
-        "reachable_chambers_only": fan.reachable_only,
+        "reachable_chambers_only": True,
         "chambers": [
             {
                 "pair_id": ch.pair_id,
@@ -151,7 +151,7 @@ def emit_fan_json(fan: Fan) -> str:
             {
                 "normal": list(w.normal),
                 "facets": [list(f) for f in w.facets],
-                "brick_dim": list(w.brick_dims),
+                "brick_dim": list(w.normal),
             }
             for w in fan.walls
         ],

@@ -260,6 +260,24 @@ def test_prime_outside_oracle_range(a3_rel_file, prime, command):
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("text", [
+    "vertices 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n",
+    "vertices 1\narrow a: 1 -> 1\narrow b: 1 -> 1\narrow c: 1 -> 1\n"
+    "relation a*a\nrelation b*b\nrelation c*c\n",
+], ids=["two_free_loops", "three_square_zero_loops"])
+def test_basis_cap_exit(tmp_path, text):
+    # irreducible paths double with each length, so the path-length cap alone
+    # is reached only after exponentially many paths; the basis-size cap
+    # refuses the algebra at once (run in a subprocess, so a hang fails here)
+    f = tmp_path / "wild.alg"
+    f.write_text(text)
+    run = subprocess.run([sys.executable, "-m", "tautilt.cli", str(f), "info"],
+                         capture_output=True, text=True, timeout=20)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    assert "path basis exceeds" in run.stderr
+
+
 def test_truncation_exit_code(tmp_path, capsys):
     f = tmp_path / "kron.alg"
     f.write_text("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")

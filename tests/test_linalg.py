@@ -147,6 +147,8 @@ def test_min_poly_diagonal():
 def test_min_poly_nilpotent():
     a = linalg.mat([[0, 1], [0, 0]])
     assert linalg.min_poly(a) == [Fraction(0), Fraction(0), Fraction(1)]
+    # the empty matrix keeps the answer x
+    assert linalg.min_poly(linalg.zeros(0, 0)) == [Fraction(0), Fraction(1)]
 
 
 def test_sparse_kernel_edge_shapes():
@@ -281,9 +283,17 @@ def test_solve_roundtrip(a, data):
 def test_min_poly_annihilates(a):
     coeffs = linalg.min_poly(a)
     n = a.shape[0]
+    assert coeffs[-1] == 1
     acc = linalg.zeros(n, n)
     power = linalg.eye(n)
+    powers = []
     for c in coeffs:
         acc = acc + power * c
+        powers.append(power.reshape(n * n, 1))
         power = power @ a
     assert linalg.is_zero(acc)
+    # minimal: the powers below the degree are independent (the 0 x 0
+    # matrix keeps the convention x, whose one lower power is empty)
+    below = powers[:-1]
+    if n:
+        assert linalg.rank(linalg.hstack(below, n * n)) == len(below)

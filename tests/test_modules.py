@@ -57,6 +57,7 @@ from tautilt.modules import (
     zero_rep,
 )
 from tautilt.stability import minimal_torsion_contains, slate_for_node, verify_pair
+from tautilt.tautilting import signed_g_vectors
 from tautilt.wallchamber import build_fan
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
@@ -393,12 +394,14 @@ def test_presentation_minimality_property(corpus_graphs):
                 assert linalg.rank(combined) == linalg.rank(rad_cols)
 
 
-def test_g_vectors_golden(a3_rel):
+def test_g_vectors_golden(a3_rel, a3_rel_graph):
     assert [g_vector(projective(a3_rel, i)) for i in (1, 2, 3)] == \
         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert g_vector(simple(a3_rel, 2)) == (0, 1, -1)
     assert g_vector(simple(a3_rel, 1)) == (1, -1, 0)
-    assert g_vector(projective(a3_rel, 1), shifted=True) == (-1, 0, 0)
+    # a projective slot j contributes the negated g-vector of P(j)
+    sink = next(n for n in a3_rel_graph.nodes if n.descriptor() == "(0 | P1 P2 P3)")
+    assert signed_g_vectors(sink) == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ from tautilt.stability import (
     verify_facm_theorem,
     verify_pair,
 )
-from tautilt.tautilting import TauPair, remove_summand
+from tautilt.tautilting import TauPair, g_matrix, remove_summand
 
 
 def node_by_desc(graph, desc):
@@ -61,18 +62,31 @@ def test_theta_of_pair_golden(a3_rel_graph):
     assert theta_of_pair(last) == (-1, -1, -1)
 
 
-def test_theta_weights(a3_rel_graph):
-    start = a3_rel_graph.nodes[0]
-    assert theta_of_pair(start, [2, 1, 1]) == (2, 1, 1)
-    with pytest.raises(ValueError):
-        theta_of_pair(start, [1, -1, 1])
-    with pytest.raises(ValueError):
-        theta_of_pair(start, [1, 1])
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+@pytest.mark.parametrize("text", [A3_REL_TEXT, NAKAYAMA2_TEXT,
+                                  (WORKLOADS / "preproj_a3.alg").read_text(),
+                                  (WORKLOADS / "a5.alg").read_text()],
+                         ids=["a3_rel", "nakayama2", "preproj_a3", "a5"])
+def test_theta_matches_g_matrix(text):
+    # theta is the row sum of the g-matrix, dropping slot r subtracts column
+    # r, and that is the theta of the almost pair itself
+    graph = enumerate_exchange_graph(parse_algebra(text))
+    for pair in graph.nodes:
+        g = g_matrix(pair).tolist()
+        assert theta_of_pair(pair) == tuple(sum(row) for row in g)
+        for r in range(pair.n_summands):
+            assert theta_of_slot(pair, r) == tuple(sum(row) - row[r] for row in g)
+            assert theta_of_slot(pair, r) == theta_of_pair(remove_summand(pair, r))
 
 
 def test_theta_point(point_algebra):
     pair = TauPair(point_algebra, (projective(point_algebra, 1),), ())
     assert theta_of_slot(pair, 0) == (Fraction(0),)
+    for r in (-1, 1):
+        with pytest.raises(ValueError):
+            theta_of_slot(pair, r)
 
 
 # ----------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_complete_almost_pair_support_side(a3_rel, a3_rel_graph):
 
 def test_complete_almost_pair_point(point_algebra):
     almost = TauPair(point_algebra, (), ())
-    larger, smaller = complete_almost_pair(almost)
+    larger, smaller = complete_almost_pair(almost, enumerate_exchange_graph(point_algebra))
     assert larger.p_parts == () and len(larger.m_parts) == 1
     assert smaller.p_parts == (1,) and smaller.m_parts == ()
 

@@ -224,7 +224,7 @@ def test_svg_one_wall_fixture(a3_rel_graph):
     # a fan holding a single coordinate-hyperplane wall draws one circle
     from tautilt.wallchamber import Chamber, Fan, Wall
     ch = chamber_of_pair(a3_rel_graph.nodes[0])
-    fan = Fan("fixture", (ch,), (Wall((1, 0, 0), (1, 0, 0), ()),))
+    fan = Fan("fixture", (ch,), (Wall((1, 0, 0), ()),))
     svg = emit_svg_stereographic(fan)
     assert svg.count("<circle") == 1 and svg.count("<path") == 0
 
