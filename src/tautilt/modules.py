@@ -9,10 +9,9 @@ before.  Pure answers are memoised per algebra by ``algebra.memoised``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
-import random
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -681,72 +680,50 @@ def _minimal_approximation(x: Representation, n: list[Representation],
 # decomposition and isomorphism
 # ----------------------------------------------------------------------
 
-def _derived_rng(salt: int, m: Representation) -> random.Random:
-    """Draws fixed by the value of M: salt 0 splits, salt 1 certifies a field."""
-    h = hashlib.sha256()
-    h.update(str(salt).encode())
-    h.update(m.fingerprint().encode())
-    return random.Random(int.from_bytes(h.digest()[:8], "big"))
+def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
+    """Rational roots, ascending, of a polynomial (coefficients low to high)
+    with a nonzero leading coefficient, by the rational root theorem: after
+    clearing denominators and factors of x, a root p/q in lowest terms has p
+    dividing the constant and q the leading coefficient."""
+    scale = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+    roots = {Fraction(0)} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints.pop(0)
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * r ** k for k, c in enumerate(ints)) == 0:
+                    roots.add(r)
+    return sorted(roots)
 
 
-@functools.cache
-def _factor_rational_poly(coeffs: tuple[Fraction, ...]) -> list[tuple[list[Fraction], int]]:
-    """Irreducible factorisation over the rationals; coeffs low-to-high.
-
-    Memoised process-wide, as it depends on no algebra; the answer is shared."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
-                                     for c in coeffs])), x, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fac_coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        out.append((fac_coeffs, int(mult)))
-    return out
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
 
 
-def _poly_on_map(coeffs: list[Fraction], phi: ModuleMap) -> ModuleMap:
-    """Evaluate a polynomial on an endomorphism, vertexwise (Horner)."""
-    rep = phi.source
-    vm = []
-    for v in range(rep.algebra.n):
-        d = rep.dims[v]
-        acc = linalg.zeros(d, d)
-        for c in reversed(coeffs):
-            acc = acc @ phi.vertex_maps[v]
-            for i in range(d):
-                acc[i, i] = acc[i, i] + c
-        vm.append(acc)
-    return ModuleMap(rep, rep, vm, check=False)
+def _fitting_split(m: Representation, phi: ModuleMap) -> list[Representation] | None:
+    """Split M along an endomorphism with a rational eigenvalue.
 
-
-def _try_split(m: Representation, phi: ModuleMap) -> list[Representation] | None:
-    total = linalg.block_diag([phi.vertex_maps[v] for v in range(m.algebra.n)])
-    mp = linalg.min_poly(total)
-    factors = _factor_rational_poly(tuple(mp))
-    if len(factors) < 2:
-        return None
-    parts = []
-    for fac_coeffs, mult in factors:
-        power = fac_coeffs
-        for _ in range(mult - 1):
-            power = _poly_mul(power, fac_coeffs)
-        proj = _poly_on_map(power, phi)
-        part, _incl = kernel(proj)
-        parts.append(part)
-    if sum(p.total_dim for p in parts) != m.total_dim:
-        return None
-    return [p for p in parts if not p.is_zero()]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+    For each rational root lam of the minimal polynomial of phi, Fitting's
+    lemma gives M = ker (phi - lam)^n + im (phi - lam)^n with n the largest
+    vertex dimension.  The kernel is nonzero, as lam is an eigenvalue, so the
+    first lam with a nonzero image answers.  None when no rational
+    eigenvalue splits M."""
+    total = linalg.block_diag(phi.vertex_maps)
+    n = max(m.dims)
+    for lam in _rational_roots(linalg.min_poly(total)):
+        shifted = _combination([phi, identity_map(m)], [1, -lam])
+        power = shifted
+        for _ in range(n - 1):
+            power = [p @ s for p, s in zip(power, shifted)]
+        psi = ModuleMap(m, m, power, check=False)
+        im, _incl = image(psi)
+        if not im.is_zero():
+            return [kernel(psi)[0], im]
+    return None
 
 
 def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.Matrix]:
@@ -761,17 +738,13 @@ def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.
         coords = linalg.solve(vec_basis, prod)
         assert coords is not None
         structure.append(coords)  # structure[i][:, j] = coords of e_i . e_j
+    # tr L(e_i e_j) = sum_k structure[i][k, j] tr L(e_k)
+    traces = [sum((lm[k, k] for k in range(d)), Fraction(0)) for lm in structure]
     gram = linalg.zeros(d, d)
     for i in range(d):
         for j in range(d):
-            lm = _left_mult_matrix(structure[i][:, j:j + 1], structure, d)
-            gram[i, j] = sum((lm[k, k] for k in range(d)), Fraction(0))
+            gram[i, j] = sum((structure[i][k, j] * traces[k] for k in range(d)), Fraction(0))
     return structure, linalg.nullspace(gram)
-
-
-def _random_coefficients(rng: random.Random, k: int) -> list[Fraction]:
-    """``k`` coefficients in [-9, 9], drawn in order."""
-    return [Fraction(rng.randint(-9, 9)) for _ in range(k)]
 
 
 def _combination(maps: list[ModuleMap], coefs) -> list[linalg.Matrix]:
@@ -782,48 +755,26 @@ def _combination(maps: list[ModuleMap], coefs) -> list[linalg.Matrix]:
     return vm
 
 
-def _end_quotient_is_field(structure: list[linalg.Matrix], rad_cols: linalg.Matrix,
-                           rng: random.Random) -> bool:
-    """Certify that End/rad is a field (so the module is indecomposable),
-    given ``_end_structure`` of an endomorphism basis whose radical has
-    codimension at least 2.
+def _end_quotient_is_field(structure: list[linalg.Matrix], rad_cols: linalg.Matrix) -> bool:
+    """Decide whether End/rad is a field, given ``_end_structure`` of an
+    endomorphism basis, when that quotient has dimension 2 or 3.
 
-    Checks commutativity of the semisimple quotient and then looks for a
-    primitive element: a sampled element whose minimal polynomial on the
-    quotient is irreducible of full degree.  Only positive certificates are
-    returned; inconclusive sampling yields False.
+    A semisimple rational algebra of dimension 2 or 3 is commutative, and a
+    field of prime degree over the rationals has no intermediate field, so
+    it is a field exactly when some basis element's minimal polynomial on it
+    has full degree and no rational root.  Larger quotients answer False.
     """
-    d = len(structure)
-    semis_dim = d - rad_cols.shape[1]
+    semis_dim = len(structure) - rad_cols.shape[1]
+    if semis_dim not in (2, 3):
+        return False
     proj, free = linalg.left_nullspace(rad_cols)
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = structure[i][:, j:j + 1] - structure[j][:, i:i + 1]
-            if not linalg.is_zero(proj @ comm):
-                return False  # non-commutative quotient: no certificate here
-    for _ in range(8):
-        coords = linalg.mat([[c] for c in _random_coefficients(rng, d)])
+    for lm in structure:
         # left multiplication keeps the radical, which proj kills, so the
         # unit vectors at the free columns serve as a section
-        lbar = linalg.columns(proj @ _left_mult_matrix(coords, structure, d), free)
-        poly = linalg.min_poly(lbar)
-        if len(poly) - 1 != semis_dim:
-            continue  # not a primitive element; resample
-        factors = _factor_rational_poly(tuple(poly))
-        if len(factors) == 1 and factors[0][1] == 1:
+        poly = linalg.min_poly(linalg.columns(proj @ lm, free))
+        if len(poly) - 1 == semis_dim and not _rational_roots(poly):
             return True
     return False
-
-
-def _left_mult_matrix(coords: linalg.Matrix, structure: list[linalg.Matrix],
-                      d: int) -> linalg.Matrix:
-    lm = linalg.zeros(d, d)
-    for i in range(d):
-        ci = coords[i, 0]
-        if ci == 0:
-            continue
-        lm = lm + structure[i] * ci
-    return lm
 
 
 def end_radical_basis(m: Representation) -> list[ModuleMap]:
@@ -840,13 +791,13 @@ def decompose(m: Representation) -> list[tuple[Representation, int]]:
     """Split into indecomposable summands with multiplicities.
 
     A module whose End/rad is the rationals is local, hence indecomposable,
-    and is returned whole without any search.  Otherwise splitting
-    endomorphisms are found by factoring minimal polynomials of
-    endomorphisms (basis elements, their products, then random combinations
-    drawn from the value of M).  Raises :class:`DecompositionError` if no
-    splitting is found but the endomorphism ring is provably non-local.
-    The search depends only on the value of M, so the answer is memoised
-    per module; each call returns a fresh list.
+    and is returned whole without any search, as is one whose End/rad is a
+    field of degree 2 or 3 over the rationals.  Otherwise the Hom basis of
+    End(M), then its pairwise products, are walked in order, and M is split
+    by Fitting's lemma at the first rational eigenvalue that gives two
+    nonzero parts; :class:`DecompositionError` is raised when none does.
+    Only exact arithmetic is used, so the answer depends on the value of M
+    alone and is memoised per module; each call returns a fresh list.
     """
     return list(_decompose(m))
 
@@ -874,27 +825,15 @@ def _decompose_rec(m: Representation) -> list[Representation]:
         return [m]
     structure, rad_cols = _end_structure(endos)
     semis_dim = len(endos) - rad_cols.shape[1]
-    if semis_dim == 1:
-        return [m]  # End/rad is the rationals: local
-    trials: list[ModuleMap] = list(endos)
-    for e, f in itertools.islice(itertools.product(endos, endos), 64):
-        trials.append(e.compose(f))
-    rng = _derived_rng(0, m)
-    for _ in range(32):
-        vm = _combination(endos, _random_coefficients(rng, len(endos)))
-        trials.append(ModuleMap(m, m, vm, check=False))
-    for phi in trials:
-        parts = _try_split(m, phi)
-        if parts is not None and len(parts) >= 2:
-            out: list[Representation] = []
-            for part in parts:
-                out.extend(_decompose_rec(part))
-            return out
-    if _end_quotient_is_field(structure, rad_cols, _derived_rng(1, m)):
-        # local endomorphism ring with a residue field larger than the
-        # rationals: indecomposable here, though it may split after a base
-        # field extension
+    if semis_dim == 1 or _end_quotient_is_field(structure, rad_cols):
+        # End/rad is the rationals or a larger field, so End(M) is local: M is
+        # indecomposable here, though it may split after a base field extension
         return [m]
+    products = (e.compose(f) for e, f in itertools.product(endos, endos))
+    for phi in itertools.chain(endos, products):
+        parts = _fitting_split(m, phi)
+        if parts is not None:
+            return [piece for part in parts for piece in _decompose_rec(part)]
     raise DecompositionError(
         f"no splitting endomorphism found for dims={m.dims} although "
         f"End/rad has dimension {semis_dim}; the module may only "

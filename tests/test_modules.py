@@ -7,7 +7,10 @@ g-vector pairing identity.
 """
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +21,7 @@ from conftest import A3_REL_TEXT, A3_TEXT, CORPUS_TEXTS, NAKAYAMA2_TEXT, PREPROJ
 
 from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra
 from tautilt.modules import (
+    DecompositionError,
     ModuleMap,
     Representation,
     _in_fac,
@@ -190,20 +194,81 @@ def test_decompose_roundtrip_property(corpus_graphs):
                 assert decompose(r) == [(r, 1)]
 
 
-def test_decompose_field_endomorphisms():
-    # twisted two-arrow module whose endomorphism ring is a quadratic field:
-    # indecomposable over the rationals (it would split after base change)
-    from tautilt import parse_algebra
-    from tautilt.modules import rep_from_literal
-    kron = parse_algebra("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2")
-    m = rep_from_literal(kron, {"dims": [2, 2],
-                                "arrows": {"a": [[1, 0], [0, 1]],
-                                           "b": [[0, 2], [1, 0]]}})
-    assert len(hom_basis(m, m)) == 2
+def _companion_module(kron, coeffs):
+    """The Kronecker module (I, C) with C the companion matrix of the monic
+    polynomial x^n + coeffs[n-1] x^(n-1) + ... + coeffs[0]; its endomorphism
+    ring is Q[x]/(that polynomial)."""
+    n = len(coeffs)
+    c = [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    return rep_from_literal(kron, {"dims": [n, n],
+                                   "arrows": {"a": [[int(i == j) for j in range(n)]
+                                                    for i in range(n)],
+                                              "b": c}})
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0], [-2, 0, 0]], ids=["sqrt2", "cbrt2"])
+def test_decompose_field_endomorphisms(coeffs):
+    # twisted two-arrow module whose endomorphism ring is a quadratic or cubic
+    # field: indecomposable over the rationals (it would split after base change)
+    kron = parse_algebra(KRONECKER_TEXT)
+    m = _companion_module(kron, coeffs)
+    assert len(hom_basis(m, m)) == len(coeffs)
     assert decompose(m) == [(m, 1)]
     sq = direct_sum(kron, [m, m])
     parts = decompose(sq)
     assert len(parts) == 1 and parts[0][1] == 2
+    s1 = simple(kron, 1)
+    assert decompose(direct_sum(kron, [m, s1])) == [(m, 1), (s1, 1)]
+
+
+def test_decompose_quartic_residue_field_is_refused():
+    # End = Q(2^(1/4)) has degree 4: no rational eigenvalue splits the module
+    # and the field test covers degrees 2 and 3 only
+    kron = parse_algebra(KRONECKER_TEXT)
+    m = _companion_module(kron, [-2, 0, 0, 0])
+    with pytest.raises(DecompositionError):
+        decompose(m)
+
+
+# decomposes hand-built modules in a fresh process where sympy cannot be imported
+_NO_SYMPY_DECOMPOSE = """\
+import json, sys
+sys.modules["sympy"] = None
+from tautilt import parse_algebra
+from tautilt.modules import decompose, direct_sum, is_isomorphic, projective, rep_from_literal, simple
+a3 = parse_algebra(sys.argv[1])
+kron = parse_algebra(sys.argv[2])
+def dims(m):
+    return sorted([list(r.dims), k] for r, k in decompose(m))
+def twisted(a, b):
+    return rep_from_literal(kron, {"dims": [2, 2], "arrows": {"a": a, "b": b}})
+sqrt2 = twisted([[1, 0], [0, 1]], [[0, 2], [1, 0]])
+gauss = twisted([[1, 0], [0, 1]], [[0, -1], [1, 0]])
+copy = twisted([[2, -2], [1, 0]], [[0, -2], [1, -2]])
+s1 = simple(a3, 1)
+print(json.dumps({
+    "projectives": dims(direct_sum(a3, [projective(a3, i) for i in (1, 2, 3)])),
+    "s1_twice": dims(direct_sum(a3, [s1, s1])),
+    "sqrt2": dims(sqrt2),
+    "sqrt2_twice": dims(direct_sum(kron, [sqrt2, sqrt2])),
+    "gauss": dims(gauss),
+    "gauss_pair": [is_isomorphic(gauss, copy),
+                   is_isomorphic(direct_sum(kron, [gauss, gauss]), direct_sum(kron, [copy, copy]))],
+}))
+"""
+
+
+def test_decompose_without_sympy_subprocess():
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_DECOMPOSE, A3_REL_TEXT, KRONECKER_TEXT],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {
+        "projectives": [[[0, 0, 1], 1], [[0, 1, 1], 1], [[1, 1, 0], 1]],
+        "s1_twice": [[[1, 0, 0], 2]],
+        "sqrt2": [[[2, 2], 1]],
+        "sqrt2_twice": [[[2, 2], 2]],
+        "gauss": [[[2, 2], 1]],
+        "gauss_pair": [True, True],
+    }
 
 
 def test_is_isomorphic_basics(a3_rel):
@@ -292,16 +357,17 @@ def test_is_isomorphic_matches_symbolic_reference(text):
             assert _assert_iso_matches_reference(s, direct_sum(q, [y, x]))
 
 
-def test_is_isomorphic_draws_no_random_numbers(monkeypatch):
-    # indecomposables are compared from one Hom basis, without sampling
+def test_is_isomorphic_draws_no_random_numbers():
+    # indecomposables are compared from one Hom basis, without sampling, and
+    # no engine module binds the random module or anything from it
     q = parse_algebra(PREPROJ_A3_TEXT)
     reps = list(enumerate_exchange_graph(q).registry.reps)
     copies = [_base_changed(x, random.Random(i)) for i, x in enumerate(reps)]
-
-    def refuse(*args):
-        raise AssertionError("random numbers drawn")
-
-    monkeypatch.setattr(modules, "_derived_rng", refuse)
+    bound = [(name, key) for name, mod in list(sys.modules.items())
+             if mod is not None and name.split(".")[0] == "tautilt"
+             for key, value in vars(mod).items()
+             if value is random or getattr(value, "__module__", None) == "random"]
+    assert bound == []
     pairs = [(x, y, i == j) for (i, x), (j, y)
              in itertools.product(enumerate(reps), enumerate(copies)) if x.dims == y.dims]
     assert [is_isomorphic(x, y) for x, y, _iso in pairs] == [iso for *_xy, iso in pairs]
@@ -964,13 +1030,13 @@ def test_repeated_decompose_reuses_its_answer(monkeypatch):
     bundle = direct_sum(q, [p1, simple(q, 3), simple(q, 3)])
     first = decompose(bundle)
     splits = []
-    real = modules._try_split
+    real = modules._fitting_split
 
     def counting(m, phi):
         splits.append(m)
         return real(m, phi)
 
-    monkeypatch.setattr(modules, "_try_split", counting)
+    monkeypatch.setattr(modules, "_fitting_split", counting)
     again = decompose(direct_sum(q, [p1, simple(q, 3), simple(q, 3)]))
     assert again == first and again is not first
     assert splits == []
