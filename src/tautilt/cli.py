@@ -3,8 +3,9 @@
     tautilt <file> info|enumerate|verify|fan|graph [options]
 
 Exit codes: 0 success, 1 input error, 2 enumeration truncated (or a fan
-wall over the brute-force oracle's budget), 3 theorem-violation detected
-by `verify`.
+wall over the brute-force oracle's budget, or a module the decomposition
+cannot split), 3 a theorem violation (a failed `verify` check, or an
+identity the engine asserts while it computes).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import linalg
 from .algebra import AlgebraError, parse_algebra
-from .modules import direct_sum, ext1_dim, injective, projective
+from .modules import DecompositionError, direct_sum, ext1_dim, injective, projective
 from .stability import (
     BRUTE_FORCE_BUDGET,
     BudgetExceeded,
@@ -29,6 +30,7 @@ from .tautilting import (
     DEFAULT_MAX_DIM,
     DEFAULT_MAX_NODES,
     EnumerationError,
+    TheoremViolationError,
     c_matrix,
     enumerate_exchange_graph,
     g_matrix,
@@ -191,7 +193,7 @@ def cmd_verify(q, args) -> int:
         slate = slate_for_node(graph, i)
         for b in slate.bricks:
             bricks[graph.registry.id_of(b)] = b
-    probes = _probes_for(graph)
+    probes = tuple(_probes_for(graph))  # one tuple keys every wall's oracle answer
     reports = [verify_pair(pair, graph, probes, prime=args.prime) for pair in graph.nodes]
     brick_reports = []
     for bid in sorted(bricks):
@@ -282,6 +284,12 @@ def main(argv=None) -> int:
     except _WriteError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except DecompositionError as exc:  # a documented engine limit, like the budget
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_TRUNCATED
+    except TheoremViolationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

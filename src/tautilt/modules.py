@@ -489,9 +489,10 @@ def minimal_projective_presentation(m: Representation) -> ProjectivePresentation
                                   pres_map, cover, omega, omega_incl)
 
 
+@memoised
 def g_vector(m: Representation) -> tuple[int, ...]:
     """Integer vector a - a' of projective multiplicities in the minimal
-    presentation."""
+    presentation; memoised per module."""
     pres = minimal_projective_presentation(m)
     a = Counter(pres.p0_vertices)
     a1 = Counter(pres.p1_vertices)

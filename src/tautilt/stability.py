@@ -19,6 +19,7 @@ from .modules import (
     Representation,
     _in_fac,
     _trace_bases,
+    _trace_spans,
     cokernel,
     decompose,
     end_radical_basis,
@@ -240,11 +241,11 @@ def is_stable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
 def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation:
     """The unique stable brick attached to slot r of a tilting pair.
 
-    The generator of the semistable subcategory is the exchanged summand of
-    the Fac-larger completion modulo the trace of the remaining module
-    summands (the image of its right approximation by them); the brick is its
-    indecomposable summand modulo the images of its radical endomorphisms.
-    The result is validated as a semistable brick before being returned.
+    Only the search for the exchanged summand of the Fac-larger completion
+    is per slot: the pair's own when slot r mutates down (so a truncated
+    graph is served), else the one read off the edge joining the two
+    completions.  The brick itself is a fact of the wall, the almost pair
+    without slot r, computed once by :func:`_wall_brick` for both sides.
     """
     if not pair.is_tilting():
         raise ValueError("bricks are attached to pairs with n summands")
@@ -252,10 +253,22 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
     if slot_mutates_down(pair, r):
         exchanged = pair.slots()[r][1]
     else:
-        # the exchanged summand of the Fac-larger completion, read off the
-        # edge that joins the two completions
         e = graph.completion_edge(almost)
         exchanged = graph.nodes[e.src].slots()[e.slot][1]
+    return _wall_brick(exchanged, almost)
+
+
+@memoised
+def _wall_brick(exchanged: Representation, almost: TauPair) -> Representation:
+    """The brick of a wall, from the exchanged summand of its Fac-larger
+    completion, memoised per (summand, wall).
+
+    The generator of the semistable subcategory is that summand modulo the
+    trace of the wall's module summands (the image of its right
+    approximation by them); the brick is its indecomposable summand modulo
+    the images of its radical endomorphisms.  The result is validated as a
+    semistable brick on the wall's hyperplane before being returned.
+    """
     generator, _ = quotient_from_bases(exchanged,
                                        _trace_bases(list(almost.m_parts), exchanged))
     if generator.is_zero():
@@ -270,7 +283,7 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
         raise TheoremViolationError("extracted module is not a brick")
     if not is_semistable_hom(brick, almost):
         raise TheoremViolationError("extracted brick fails the Hom criterion")
-    if pairing(theta_of_slot(pair, r), brick.dims) != 0:
+    if pairing(theta_of_pair(almost), brick.dims) != 0:
         raise TheoremViolationError("extracted brick is not on the stability wall")
     return brick
 
@@ -347,21 +360,32 @@ def fac_contains(pair: TauPair, x: Representation) -> bool:
 
 def minimal_torsion_contains(bricks, x: Representation) -> bool:
     """Membership in the minimal torsion class containing the given modules,
-    decided by iterated traces (the trace is torsion, the recursion drops to
-    the quotient, and the total dimension strictly decreases).  Each trace is
-    the sum of the bricks' own traces, so the first step reads the
-    memoised per-brick traces whenever X is a registry handle."""
+    decided by iterated traces: the trace is torsion, the recursion drops to
+    the quotient, and the total dimension strictly decreases.
+
+    Each step keeps the bricks with a nonzero map into the current module,
+    refiltered from the full list (a brick with no maps into X may have some
+    into X / tX), and is computed once by :func:`_torsion_step`, memoised
+    per (module, bricks kept), however many probes and brick sets reach it."""
     bricks = list(bricks)
     current = x
     while not current.is_zero():
-        bases = list(_trace_bases(bricks, current))
-        ranks = tuple(b.shape[1] for b in bases)
-        if ranks == current.dims:
-            return True
-        if not any(ranks):
+        relevant = tuple(b for b in bricks if any(s.shape[1] for s in _trace_spans(b, current)))
+        if not relevant:
             return False
-        current, _ = quotient_from_bases(current, bases)
+        current = _torsion_step(current, relevant)
+        if current is None:
+            return True
     return True
+
+
+@memoised
+def _torsion_step(x: Representation, bricks: tuple[Representation, ...]) -> Representation | None:
+    """X modulo the trace of the bricks, or None when that trace is all of X."""
+    bases = list(_trace_bases(list(bricks), x))
+    if all(b.shape[1] == d for b, d in zip(bases, x.dims)):
+        return None
+    return quotient_from_bases(x, bases)[0]
 
 
 def verify_facm_theorem(slate: BrickSlate, probes) -> dict:
@@ -442,8 +466,34 @@ def self_extension_witness(brick: Representation, candidates) -> Representation 
 # per-node verification report
 # ----------------------------------------------------------------------
 
+@memoised
+def _wall_oracle(almost: TauPair, probes: tuple, prime: int) -> tuple[tuple[int, ...], int]:
+    """The dual oracle on one wall: the indices of the probes on which the
+    Hom criterion of the almost pair and the brute-force King condition for
+    its stability vector disagree, and the number of probes over the
+    oracle's budget.  Memoised per wall, never per (wall, probe)."""
+    theta = theta_of_pair(almost)
+    mismatches = []
+    skipped = 0
+    for i, x in enumerate(probes):
+        try:
+            brute = is_semistable_bruteforce(x, theta, prime)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        if is_semistable_hom(x, almost) != brute:
+            mismatches.append(i)
+    return tuple(mismatches), skipped
+
+
 def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> dict:
-    """Run every mechanical check for one node and report pass/fail."""
+    """Run every mechanical check for one node and report pass/fail.
+
+    The dual oracle is a fact of each wall: the two nodes bordering a wall
+    share one :func:`_wall_oracle` answer, and each turns its mismatches
+    into its own witnesses.  Every other check is the node's own.
+    """
+    probes = tuple(probes)
     idx = graph.node_index(pair)
     slate = slate_for_node(graph, idx)
     q = pair.algebra
@@ -502,18 +552,12 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> 
     ok_dual = True
     skipped = 0
     for r in range(q.n):
-        almost = remove_summand(pair, r)
-        theta_r = theta_of_slot(pair, r)
-        for x in probes:
-            try:
-                brute = is_semistable_bruteforce(x, theta_r, prime)
-            except BudgetExceeded:
-                skipped += 1
-                continue
-            if is_semistable_hom(x, almost) != brute:
-                ok_dual = False
-                report["witnesses"].append({
-                    "check": "dual_oracle", "slot": r, "probe": list(x.dims)})
+        mismatches, wall_skipped = _wall_oracle(remove_summand(pair, r), probes, prime)
+        skipped += wall_skipped
+        for i in mismatches:
+            ok_dual = False
+            report["witnesses"].append({
+                "check": "dual_oracle", "slot": r, "probe": list(probes[i].dims)})
     report["checks"]["dual_oracle"] = ok_dual
     if skipped:
         report["dual_oracle_skipped"] = skipped

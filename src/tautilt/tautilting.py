@@ -139,11 +139,11 @@ def remove_summand(pair: TauPair, r: int) -> TauPair:
 # G- and C-matrices
 # ----------------------------------------------------------------------
 
-@memoised
 def signed_g_vectors(pair: TauPair) -> tuple[tuple[int, ...], ...]:
     """One integer vector per slot, in canonical slot order: the g-vector of
     a module slot, the negated g-vector of P(j) for a projective slot j.
-    Defined for every pair; memoised per pair."""
+    Defined for every pair.  Not memoised per pair, as each summand's
+    g-vector is: an entry per almost pair would cost more than it saves."""
     return tuple(g_vector(payload) if kind == "m"
                  else tuple(-x for x in g_vector(projective(pair.algebra, payload)))
                  for kind, payload in pair.slots())

@@ -11,6 +11,8 @@ import pytest
 from conftest import A3_REL_TEXT, LOOP_TEXT
 
 from tautilt.cli import main
+from tautilt.modules import DecompositionError
+from tautilt.tautilting import TheoremViolationError
 
 
 @pytest.fixture()
@@ -370,3 +372,53 @@ def test_format_a_command_cannot_write_is_refused(a3_rel_file, command, fmt, cap
 def test_format_a_command_can_write_is_accepted(a3_rel_file, command, fmt, capsys):
     code, out, _err = run_cli_err([a3_rel_file, command, "--format", fmt], capsys)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command, step, error, expected", [
+    ("enumerate", "enumerate_exchange_graph", DecompositionError, 2),
+    ("verify", "slate_for_node", TheoremViolationError, 3),
+], ids=["decomposition", "theorem_violation"])
+def test_engine_error_exits_with_one_line(a3_rel_file, capsys, monkeypatch,
+                                          command, step, error, expected):
+    # a typed engine error raised mid-run ends in its exit code and one
+    # error line, never a traceback or partial output
+    def raising(*args, **kwargs):
+        raise error("planted failure")
+    monkeypatch.setattr(f"tautilt.cli.{step}", raising)
+    code, out, err = run_cli_err([a3_rel_file, command], capsys)
+    assert code == expected and out == ""
+    assert err == "error: planted failure\n" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workload", ["preproj_a3", "a5"])
+def test_verify_output_independent_of_warm_memo(workload, capsys):
+    # fan fills the wall memo first, and a second verify finds every wall
+    # and torsion step answered: both print the bytes of a cold verify
+    from tautilt.algebra import parse_algebra
+    from tautilt.cli import _build_parser, cmd_fan, cmd_verify
+    path = str(WORKLOADS / f"{workload}.alg")
+    cold = run_cli([path, "verify"], capsys)
+    q = parse_algebra(Path(path).read_text())
+    assert cmd_fan(q, _build_parser().parse_args([path, "fan"])) == 0
+    capsys.readouterr()
+    args = _build_parser().parse_args([path, "verify"])
+    for _ in range(2):
+        assert (cmd_verify(q, args), capsys.readouterr().out) == cold
+
+
+def test_verify_reuses_quotients(monkeypatch, capsys):
+    # one quotient per wall's generator, per exchange cokernel and per torsion
+    # step: linear A5 makes 702, where one per (node, slot, step) made 1939
+    from tautilt import modules
+    calls = []
+    original = modules.quotient_from_bases
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tautilt") and getattr(mod, "quotient_from_bases", None) is original:
+            monkeypatch.setattr(mod, "quotient_from_bases", counted)
+    code, out = run_cli([str(WORKLOADS / "a5.alg"), "verify"], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert 0 < len(calls) <= 1000

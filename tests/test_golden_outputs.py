@@ -1,7 +1,8 @@
 """Byte-identity of the CLI: a committed sha256 of stdout, plus the exit code,
 for `enumerate`, `enumerate --format json`, `verify`, `fan` and `graph` with
 `--seed 0` and `--seed 1` on every bundled algebra (Kronecker truncated with
-`--max-nodes 12`).
+`--max-nodes 12`), and for `verify` on the two benchmark algebras and on
+linear A6.
 
 A change that moves any output byte fails here. To print the table for a
 deliberate output change, run
@@ -21,6 +22,16 @@ import pytest
 from tautilt.cli import main
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+WORKLOADS = ALGEBRAS.parent / "bench" / "workloads"
+
+LINEAR_A6_TEXT = """\
+vertices 6
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 3 -> 4
+arrow d: 4 -> 5
+arrow e: 5 -> 6
+"""
 
 COMMANDS = {
     "enumerate": ["enumerate"],
@@ -43,8 +54,11 @@ def _cases():
 def _run(case: str) -> tuple[str, int]:
     stem, rest = case.split("-", 1)
     command, seed = rest.rsplit("-seed", 1)
-    argv = [str(ALGEBRAS / f"{stem}.alg"), *COMMANDS[command],
-            "--seed", seed, *EXTRA_ARGS.get(stem, [])]
+    return _digest([str(ALGEBRAS / f"{stem}.alg"), *COMMANDS[command],
+                    "--seed", seed, *EXTRA_ARGS.get(stem, [])])
+
+
+def _digest(argv) -> tuple[str, int]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -125,9 +139,31 @@ GOLDEN = {
 }
 
 
+# verify on larger algebras, where every wall and torsion step is shared
+PINNED = {
+    "a5-verify": ("b5ccc2df9775f950bae987d61ad104b523499c11b310e62e3cb7e90c99d054b1", 0),
+    "preproj_a3-verify": ("bad779cf86499976831dbce2dd78db0c58070a8935aa9913af071355ea8d3aca", 0),
+    "linear_a6-verify": ("368278316ee5e458e948228c7f8384c5c1702ef46f827d1c3c6dc914dcda692b", 0),
+}
+
+
+def _run_pinned(case: str, tmp_dir: Path) -> tuple[str, int]:
+    stem = case.rsplit("-", 1)[0]
+    path = WORKLOADS / f"{stem}.alg"
+    if stem == "linear_a6":
+        path = tmp_dir / "linear_a6.alg"
+        path.write_text(LINEAR_A6_TEXT)
+    return _digest([str(path), "verify"])
+
+
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_cli_output_matches_golden_digest(case):
     assert _run(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_verify_output_matches_pinned_digest(case, tmp_path):
+    assert _run_pinned(case, tmp_path) == PINNED[case]
 
 
 def test_golden_table_covers_every_case():
@@ -140,3 +176,10 @@ if __name__ == "__main__":
         digest, code = _run(case)
         print(f'    "{case}": ("{digest}", {code}),')
     print("}")
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        print("PINNED = {")
+        for case in sorted(PINNED):
+            digest, code = _run_pinned(case, Path(tmp))
+            print(f'    "{case}": ("{digest}", {code}),')
+        print("}")

@@ -473,3 +473,76 @@ def test_verify_pair_all_pass(corpus_graphs):
         for pair in graph.nodes:
             report = verify_pair(pair, graph, probes)
             assert report["pass"], report
+
+
+# ----------------------------------------------------------------------
+# one computation per wall and per torsion step
+# ----------------------------------------------------------------------
+
+A5_TEXT = (Path(__file__).resolve().parents[1] / "bench" / "workloads" / "a5.alg").read_text()
+
+
+def _wall_slots(graph, e):
+    """The two (node, slot) ends of an edge: the same almost pair seen from
+    each completion."""
+    src = graph.nodes[e.src]
+    almost = remove_summand(src, e.slot)
+    dst = graph.nodes[e.dst]
+    (r,) = [r for r in range(graph.algebra.n) if remove_summand(dst, r) == almost]
+    return almost, (src, e.slot), (dst, r)
+
+
+@pytest.mark.parametrize("text, walls", [(A3_REL_TEXT, 18), (PREPROJ_A3_TEXT, 36),
+                                         (A5_TEXT, 330)],
+                         ids=["a3_rel", "preproj_a3", "a5"])
+def test_each_wall_brick_computed_once(text, walls, monkeypatch):
+    computed = []
+    local = stability._brick_from_local_module
+    monkeypatch.setattr(stability, "_brick_from_local_module",
+                        lambda y: computed.append(y) or local(y))
+    q = parse_algebra(text)  # a fresh algebra starts with a fresh memo
+    graph = enumerate_exchange_graph(q)
+    slates = [slate_for_node(graph, idx) for idx in range(len(graph.nodes))]
+    assert len(graph.edges) == walls
+    assert len(computed) == walls
+    for e in graph.edges:
+        _, (src, r), (dst, s) = _wall_slots(graph, e)
+        brick = brick_of_slot(src, r, graph)
+        assert brick_of_slot(dst, s, graph) is brick
+        assert slates[e.src].bricks[r] is slates[e.dst].bricks[s] is graph.registry.handle(brick)
+    assert len(computed) == walls
+
+
+def test_planted_oracle_error_marks_both_sides_of_its_wall(monkeypatch):
+    q = parse_algebra(A3_REL_TEXT)
+    graph = enumerate_exchange_graph(q)
+    for idx in range(len(graph.nodes)):
+        slate_for_node(graph, idx)
+    probes = list(graph.registry.reps)
+    e = graph.edges[len(graph.edges) // 2]
+    wall, (src, r), (dst, s) = _wall_slots(graph, e)
+    planted = probes[-1]
+    honest = stability.is_semistable_hom
+    monkeypatch.setattr(stability, "is_semistable_hom",
+                        lambda x, rigid: honest(x, rigid) != (x is planted and rigid == wall))
+    failing = {}
+    for pair in graph.nodes:
+        report = verify_pair(pair, graph, probes)
+        if not report["checks"]["dual_oracle"]:
+            failing[pair] = report["witnesses"]
+    witness = {"check": "dual_oracle", "probe": list(planted.dims)}
+    assert failing == {src: [dict(witness, slot=r)], dst: [dict(witness, slot=s)]}
+
+
+def test_planted_torsion_step_error_breaks_facm(monkeypatch):
+    # a step that claims every trace fills X accepts modules outside Fac M
+    q = parse_algebra(A3_REL_TEXT)
+    graph = enumerate_exchange_graph(q)
+    probes = list(graph.registry.reps)
+    monkeypatch.setattr(stability, "_torsion_step", lambda x, bricks: None)
+    reports = [verify_facm_theorem(slate_for_node(graph, idx), probes)
+               for idx in range(len(graph.nodes))]
+    assert not all(r["facm_equality"] for r in reports)
+    witnesses = [w for r in reports for w in r["witnesses"]]
+    assert witnesses and all(w["check"] == "facm_equality" and w["fac"] is False
+                             and w["torsion"] is True for w in witnesses)
