@@ -1,19 +1,24 @@
 """Exact rational linear algebra on :class:`Matrix`, a dense list of rows.
 
-Every matrix handled here is a 2-d :class:`Matrix` whose entries are
-:class:`fractions.Fraction` or plain ints.  No floating point is used
-anywhere; all pivoting is exact.
+Every matrix handled here is a 2-d :class:`Matrix` whose entries are exact:
+a Python int where the value is integral, a :class:`fractions.Fraction`
+otherwise (:func:`exact` makes that choice; ``zeros`` and ``eye`` hold ints).
+No floating point is used anywhere, and no entry is ever divided with ``/``.
 
 ``rref``, ``rank``, ``nullspace``, ``column_space``, ``solve`` and
 ``inverse`` share one kernel, :func:`_eliminate`: sparse rows (``{col:
-value}`` of the nonzeros) scaled to integers and reduced by fraction-free
-Gauss-Jordan elimination, dividing by the pivots only when the output is
-built.  The reduced row-echelon form is unique, so the pivots and every
-output entry equal those of a dense Fraction elimination.
-``nullspace_of_rows`` takes such rows directly, so sparse systems (the Hom
-intertwiner equations) are never built densely.  A kernel basis is the
-identity at its free coordinates; ``free_nullspace`` and ``left_nullspace``
-return those with it, so callers read coordinates off them without solving.
+value}`` of the nonzeros) scaled to integers and reduced in integers.  A
+column -> rows index picks each pivot from the rows that hold its column,
+only those rows are cleared, and one back-substitution pass from the last
+pivot up reduces the pivot rows.  The pivots divide the rows only when the
+output is built, giving an int wherever the division is exact.  The reduced
+row-echelon form is unique, so the pivots and every output entry equal
+those of a dense Fraction elimination.  ``nullspace_of_rows`` takes such
+rows directly, so sparse systems (the Hom intertwiner equations) are never
+built densely.  A kernel basis is the identity at its free coordinates;
+``free_nullspace`` and ``left_nullspace`` return those with it, so callers
+read coordinates off them without solving.  ``det`` is fraction-free
+Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ from fractions import Fraction
 import operator
 from itertools import chain
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class Matrix:
     """An m x n matrix of exact scalars, held as a list of m rows.
@@ -119,27 +120,29 @@ class Matrix:
 
 def mat(rows) -> Matrix:
     """Build an exact matrix from a nested sequence of ints/Fractions/strings."""
-    data = [[_to_fraction(x) for x in row] for row in rows]
+    data = [[exact(x) for x in row] for row in rows]
     n_cols = len(data[0]) if data else 0
     if any(len(row) != n_cols for row in data):
         raise ValueError("ragged rows in matrix literal")
     return Matrix(data, n_cols)
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+def exact(x) -> int | Fraction:
+    """An int, Fraction or rational string as an int when integral, else a
+    Fraction."""
+    if isinstance(x, str):
+        x = Fraction(x)
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 def zeros(m: int, n: int) -> Matrix:
-    return Matrix([[_ZERO] * n for _ in range(m)], n)
+    return Matrix([[0] * n for _ in range(m)], n)
 
 
 def eye(n: int) -> Matrix:
-    return Matrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n)
+    return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 def frozen(a: Matrix) -> Matrix:
@@ -162,44 +165,67 @@ def _rows_of(a: Matrix) -> list[dict]:
 
 
 def _eliminate(rows: list[dict]) -> tuple[list[int], list[dict]]:
-    """Fraction-free Gauss-Jordan elimination of sparse rational rows.
+    """Fraction-free elimination of sparse rational rows to reduced form.
 
     Each row is scaled to coprime ints by the lcm of its denominators; a
     row is cleared at a column with ``r <- (pv/g)*r - (f/g)*pivot_row`` and
     divided by the gcd of its entries, so no Fraction is formed (Bareiss,
-    Math. Comp. 1968).  Returns the pivot columns in increasing order and
-    one int row per pivot, zero in every other pivot column; dividing row i
-    by its entry at ``pivots[i]`` gives row i of the RREF.  The RREF is
-    unique, so the pivot row chosen at each column (the sparsest) does not
-    change the result.
+    Math. Comp. 1968).  A column -> row-ids index over the unpivoted rows
+    gives each column's holders; the sparsest holder (ties by row id)
+    becomes the pivot and only the other holders are cleared (Markowitz,
+    Management Sci. 1957).  One pass from the last pivot up then clears
+    from each pivot row the later pivot columns it still holds.  Returns
+    the pivot columns in increasing order and one int row per pivot, zero
+    in every other pivot column; dividing row i by its entry at
+    ``pivots[i]`` gives row i of the RREF.  The RREF is unique, so the
+    choice of pivot rows does not change the result.
     """
-    work = []
+    work: dict[int, dict] = {}
+    index: dict[int, set] = {}
     for row in rows:
         scale = lcm(*(x.denominator for x in row.values()))
         ints = {c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}
         if ints:
-            work.append(_primitive(ints))
+            rid = len(work)
+            work[rid] = _primitive(ints)
+            for c in ints:
+                index.setdefault(c, set()).add(rid)
     pivots: list[int] = []
     done: list[dict] = []
-    for col in sorted({c for row in work for c in row}):
-        candidates = [row for row in work if col in row]
-        if not candidates:
+    # fill-in only lands in columns a pivot row holds, so no column is new
+    for col in sorted(index):
+        # every holder leaves column col: one as the pivot, the rest cleared
+        holders, index[col] = index[col], set()
+        if not holders:
             continue
-        pivot = min(candidates, key=len)
+        pid = min(holders, key=lambda rid: (len(work[rid]), rid))
+        pivot = work.pop(pid)
         pv = pivot[col]
-        kept = []
-        for row in work:
-            if row is pivot:
+        for c in pivot:
+            index[c].discard(pid)
+        for rid in holders:
+            if rid == pid:
                 continue
-            if col in row:
-                row = _clear(row, pivot, col, pv)
-                if not row:
-                    continue
-            kept.append(row)
-        work = kept
-        done = [_clear(row, pivot, col, pv) if col in row else row for row in done]
+            old = work[rid]
+            new = _clear(old, pivot, col, pv)
+            for c in pivot:
+                if c not in new:
+                    index[c].discard(rid)
+                elif c not in old:
+                    index[c].add(rid)
+            if new:
+                work[rid] = new
+            else:
+                del work[rid]
         pivots.append(col)
         done.append(pivot)
+    where = {p: i for i, p in enumerate(pivots)}
+    for i in range(len(done) - 2, -1, -1):
+        row = done[i]
+        for c in [c for c in row if c in where and c != pivots[i]]:
+            below = done[where[c]]
+            row = _clear(row, below, c, below[c])
+        done[i] = row
     return pivots, done
 
 
@@ -224,8 +250,13 @@ def _primitive(row: dict) -> dict:
 
 
 def _rational_rows(pivots: list[int], done: list[dict]) -> list[dict]:
-    return [{c: Fraction(x, row[p]) for c, x in row.items()}
-            for p, row in zip(pivots, done)]
+    """The RREF rows: each row divided by its pivot entry, an int where the
+    pivot divides the entry."""
+    out = []
+    for p, row in zip(pivots, done):
+        d = row[p]
+        out.append({c: x // d if x % d == 0 else Fraction(x, d) for c, x in row.items()})
+    return out
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -287,7 +318,7 @@ def _kernel(rows: list[dict], n: int) -> tuple[Matrix, list[int]]:
     k_of = {j: k for k, j in enumerate(free)}
     basis = zeros(n, len(free))
     for k, j in enumerate(free):
-        basis.rows[j][k] = _ONE
+        basis.rows[j][k] = 1
     for p, row in zip(pivots, _rational_rows(pivots, done)):
         for c, x in row.items():
             if c != p:
@@ -338,32 +369,38 @@ def inverse(a: Matrix) -> Matrix:
     return x
 
 
-def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+def det(a: Matrix) -> int | Fraction:
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Each row is scaled to ints by the lcm of its denominators; every
+    division in the Bareiss recurrence is exact (Bareiss, Math. Comp. 1968).
+    An int for integer input."""
     m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    r = a.tolist()
-    result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if r[i][col] != 0:
-                pivot = i
-                break
+    r = []
+    scale = 1
+    for row in a.rows:
+        s = lcm(*(x.denominator for x in row))
+        r.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if r[i][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            r[col], r[pivot] = r[pivot], r[col]
-            result = -result
-        result *= Fraction(r[col][col])
-        inv = Fraction(1) / Fraction(r[col][col])
-        for i in range(col + 1, n):
-            if r[i][col] != 0:
-                f = r[i][col] * inv
-                for j in range(col, n):
-                    r[i][j] = r[i][j] - f * r[col][j]
-    return result
+            return 0
+        if pivot != k:
+            r[k], r[pivot] = r[pivot], r[k]
+            sign = -sign
+        top = r[k]
+        pk = top[k]
+        for row in r[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - f * top[j]) // prev
+        prev = pk
+    d = sign * prev
+    return d // scale if d % scale == 0 else Fraction(d, scale)
 
 
 def hstack(blocks: list[Matrix], m: int) -> Matrix:
@@ -396,7 +433,7 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     j = 0
     for b in blocks:
         bj = b.shape[1]
-        rows.extend([_ZERO] * j + row + [_ZERO] * (n - j - bj) for row in b.rows)
+        rows.extend([0] * j + row + [0] * (n - j - bj) for row in b.rows)
         j += bj
     return Matrix(rows, n)
 
@@ -407,15 +444,14 @@ def as_int_matrix(a: Matrix) -> list[list[int]]:
     for i, row in enumerate(a.rows):
         ints = []
         for j, x in enumerate(row):
-            x = Fraction(x)
             if x.denominator != 1:
                 raise ValueError(f"non-integer entry {x} at ({i},{j})")
-            ints.append(int(x))
+            ints.append(x.numerator)
         out.append(ints)
     return out
 
 
-def min_poly(a: Matrix) -> list[Fraction]:
+def min_poly(a: Matrix) -> list[int | Fraction]:
     """Coefficients (low to high degree, monic) of the minimal polynomial.
 
     The powers I, A, ..., A^n, each flattened to a column, are eliminated
@@ -424,7 +460,7 @@ def min_poly(a: Matrix) -> list[Fraction]:
     vector at it (1 at d, 0 beyond) holds the coefficients."""
     n = a.shape[0]
     if n == 0:
-        return [Fraction(0), Fraction(1)]
+        return [0, 1]
     powers = [eye(n)]
     for _ in range(n):
         powers.append(powers[-1] @ a)

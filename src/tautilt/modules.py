@@ -62,7 +62,11 @@ class Representation:
             rep = super().__new__(cls)
             rep.algebra = algebra
             rep.dims = dims
-            rep.arrow_maps = {name: linalg.frozen(m.copy()) for name, m in maps.items()}
+            # integral entries are stored as ints; equal values hash alike,
+            # so the key above still finds this object
+            rep.arrow_maps = {name: linalg.frozen(linalg.Matrix(
+                [[x.numerator if x.denominator == 1 else x for x in row] for row in m.rows],
+                m.shape[1])) for name, m in maps.items()}
             rep._uid = next(_uid_counter)  # a serial number; no memo keys by it
             if check:
                 rep._check_relations()
@@ -77,7 +81,10 @@ class Representation:
         for combo in self.algebra.relations:
             acc = None
             for p, c in combo.items():
-                term = self.path_action(p) * c
+                c = linalg.exact(c)
+                term = self.path_action(p)
+                if c != 1:
+                    term = term * c
                 acc = term if acc is None else acc + term
             if acc is not None and not linalg.is_zero(acc):
                 raise ValueError("arrow maps violate a defining relation")
@@ -85,8 +92,10 @@ class Representation:
     def path_action(self, p: Path) -> linalg.Matrix:
         """Matrix of the right action of a path, vertex source -> vertex target."""
         src, names = p
-        m = linalg.eye(self.dims[src - 1])
-        for name in names:
+        if not names:
+            return linalg.eye(self.dims[src - 1])
+        m = self.arrow_maps[names[0]]
+        for name in names[1:]:
             m = self.arrow_maps[name] @ m
         return m
 
@@ -108,8 +117,7 @@ class Representation:
             m = self.arrow_maps[a.name]
             r, _ = linalg.rref(m) if m.size else (m, [])
             h.update(a.name.encode())
-            h.update(repr([(Fraction(x).numerator, Fraction(x).denominator)
-                           for x in r.flat]).encode())
+            h.update(repr([(x.numerator, x.denominator) for x in r.flat]).encode())
         return h.hexdigest()
 
     def __repr__(self) -> str:
@@ -271,20 +279,22 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     rows = []  # one sparse {unknown: coefficient} row per entry of N_a X_i - X_j M_a
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
-        na, ma = n.arrow_maps[a.name].rows, m.arrow_maps[a.name].rows
         si, sj = m.dims[i], m.dims[j]
+        # the nonzeros of each row of N_a and of each column of M_a
+        na = [[(offsets[i] + k * si, x) for k, x in enumerate(na_r) if x]
+              for na_r in n.arrow_maps[a.name].rows]
+        ma_rows = m.arrow_maps[a.name].rows
+        ma = [[(k, ma_k[c]) for k, ma_k in enumerate(ma_rows) if ma_k[c]] for c in range(si)]
         for r, na_r in enumerate(na):
-            for c in range(si):
-                row = {offsets[i] + k * si + c: x for k, x in enumerate(na_r) if x}
-                for k in range(sj):
-                    x = ma[k][c]
-                    if x:
-                        col = offsets[j] + r * sj + k
-                        y = row.get(col, 0) - x
-                        if y:
-                            row[col] = y
-                        else:
-                            del row[col]
+            base = offsets[j] + r * sj
+            for c, ma_c in enumerate(ma):
+                row = {col + c: x for col, x in na_r}
+                for k, x in ma_c:
+                    y = row.get(base + k, 0) - x
+                    if y:
+                        row[base + k] = y
+                    else:
+                        del row[base + k]
                 if row:
                     rows.append(row)
     basis_cols = linalg.nullspace_of_rows(rows, total)
@@ -740,11 +750,11 @@ def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.
         assert coords is not None
         structure.append(coords)  # structure[i][:, j] = coords of e_i . e_j
     # tr L(e_i e_j) = sum_k structure[i][k, j] tr L(e_k)
-    traces = [sum((lm[k, k] for k in range(d)), Fraction(0)) for lm in structure]
+    traces = [sum(lm[k, k] for k in range(d)) for lm in structure]
     gram = linalg.zeros(d, d)
     for i in range(d):
         for j in range(d):
-            gram[i, j] = sum((structure[i][k, j] * traces[k] for k in range(d)), Fraction(0))
+            gram[i, j] = sum(structure[i][k, j] * traces[k] for k in range(d))
     return structure, linalg.nullspace(gram)
 
 
@@ -918,8 +928,8 @@ def rep_to_literal(m: Representation) -> dict:
         for r in range(mm.shape[0]):
             row = []
             for c in range(mm.shape[1]):
-                x = Fraction(mm[r, c])
-                row.append(int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
+                x = mm[r, c]
+                row.append(x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
             rows.append(row)
         arrows[name] = rows
     return {"dims": list(m.dims), "arrows": arrows}

@@ -297,3 +297,137 @@ def test_min_poly_annihilates(a):
     below = powers[:-1]
     if n:
         assert linalg.rank(linalg.hstack(below, n * n)) == len(below)
+
+
+def _reference_det(a):
+    """The Fraction Gaussian elimination linalg.det replaced."""
+    r = [[Fraction(x) for x in row] for row in a.rows]
+    n = len(r)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if r[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            r[col], r[pivot] = r[pivot], r[col]
+            result = -result
+        result *= r[col][col]
+        for i in range(col + 1, n):
+            f = r[i][col] / r[col][col]
+            for j in range(col, n):
+                r[i][j] -= f * r[col][j]
+    return result
+
+
+def _reference_solve(a, b):
+    """X from the reference RREF of [A | B]: None when a pivot lands in B,
+    else the B part of each pivot row at its pivot variable, zero elsewhere."""
+    (m, n), k = a.shape, b.shape[1]
+    r, pivots = _reference_rref(linalg.hstack([a, b], m))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[Fraction(0)] * k for _ in range(n)]
+    for i, p in enumerate(pivots):
+        x[p] = [r[i, n + j] for j in range(k)]
+    return x
+
+
+def _exact_type(x):
+    """Kernel outputs are ints exactly when integral, Fractions otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@st.composite
+def sparse_rows(draw, max_rows=10, max_cols=12):
+    """Sparse rows ``{col: value}`` with int and rational values, explicit
+    zeros, zero rows and repeated rows; no rows or no columns included."""
+    n = draw(st.integers(min_value=0, max_value=max_cols))
+    value = st.one_of(st.integers(min_value=-9, max_value=9), fractions)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "zero", "repeat"]))
+        if kind == "zero" or not n:
+            rows.append({})
+        elif kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            cols = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 unique=True, max_size=4))
+            rows.append({c: draw(value) for c in cols})
+    return rows, n
+
+
+def _dense(rows, n):
+    a = linalg.zeros(len(rows), n)
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            a[i, c] = x
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.data())
+def test_sparse_rows_match_dense_fraction_reference(rows_n, data):
+    rows, n = rows_n
+    a = _dense(rows, n)
+    r, pivots = linalg.rref(a)
+    ref, ref_pivots = _reference_rref(a)
+    assert pivots == ref_pivots
+    assert r.rows == ref.rows
+    basis = linalg.nullspace_of_rows(rows, n)
+    assert basis.rows == _reference_nullspace(a).rows
+    k = data.draw(st.integers(min_value=0, max_value=3))
+
+    def dense_draw(m):
+        entries = st.dictionaries(st.integers(min_value=0, max_value=max(k - 1, 0)),
+                                  fractions, max_size=k)
+        return _dense(data.draw(st.lists(entries, min_size=m, max_size=m)), k)
+
+    # a consistent right-hand side A @ X, or one drawn at random
+    b = a @ dense_draw(n) if data.draw(st.booleans()) else dense_draw(len(rows))
+    x = linalg.solve(a, b)
+    ref_x = _reference_solve(a, b)
+    assert (x is None) == (ref_x is None)
+    if x is not None:
+        assert x.rows == ref_x
+    for out in (r, basis) + ((x,) if x is not None else ()):
+        assert all(_exact_type(v) for v in out.flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices().filter(lambda a: a.shape[0] == a.shape[1]))
+def test_det_matches_fraction_reference(a):
+    d = linalg.det(a)
+    assert d == _reference_det(a) and _exact_type(d)
+    ints = linalg.Matrix([[x.numerator for x in row] for row in a.rows], a.shape[1])
+    assert type(linalg.det(ints)) is int
+
+
+def test_integral_outputs_are_ints():
+    a = linalg.mat([[2, 4, "1/2"], [1, 3, 0], [0, 0, 5]])
+    assert all(type(x) is int for x in linalg.zeros(2, 3).flat)
+    assert all(type(x) is int for x in linalg.eye(3).flat)
+    assert all(type(x) is int for x in linalg.mat([[1, "4/2"], [Fraction(3), 0]]).flat)
+    for out in (linalg.rref(a)[0], linalg.inverse(a), linalg.nullspace(a[0:2, 0:3]),
+                linalg.solve(a, linalg.eye(3))):
+        assert all(_exact_type(x) for x in out.flat)
+    assert linalg.det(a) == 10 and type(linalg.det(a)) is int
+    assert all(_exact_type(c) for c in linalg.min_poly(a))
+
+
+def test_chain_eliminates_in_linear_clears(monkeypatch):
+    # x_i - x_{i+1} = 0 for i < n: one pivot per row, no clears forward and
+    # one per row backward; rewriting every earlier pivot row at each new
+    # pivot took about n^2 / 2
+    n = 400
+    calls = []
+    clear = linalg._clear
+
+    def counting(*args):
+        calls.append(1)
+        return clear(*args)
+
+    monkeypatch.setattr(linalg, "_clear", counting)
+    basis = linalg.nullspace_of_rows([{i: 1, i + 1: -1} for i in range(n)], n + 1)
+    assert basis.rows == [[1]] * (n + 1)
+    assert len(calls) <= 2 * n
