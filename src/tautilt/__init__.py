@@ -27,7 +27,6 @@ from .modules import (
     minimal_left_approximation,
     minimal_projective_presentation,
     minimal_right_approximation,
-    nakayama_on_map,
     projective,
     radical,
     tau,

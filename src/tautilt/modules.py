@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import BoundQuiver, Combo, Path, memoised
+from .algebra import BoundQuiver, Path, memoised
 
 _uid_counter = itertools.count(1)
 
@@ -513,32 +514,6 @@ def is_projective_rep(m: Representation) -> bool:
     return not minimal_projective_presentation(m).p1_vertices
 
 
-def _presentation_path_data(pres: ProjectivePresentation):
-    """Entries of P1 -> P0 as path combinations (one per summand pair)."""
-    q = pres.p0.algebra
-    entries: list[list[Combo]] = []
-    src_offsets = _block_offsets([projective(q, i) for i in pres.p1_vertices])
-    tgt_offsets = _block_offsets([projective(q, i) for i in pres.p0_vertices])
-    for r, t in enumerate(pres.p0_vertices):
-        row: list[Combo] = []
-        for c, s in enumerate(pres.p1_vertices):
-            # the component P(s) -> P(t) is determined by the image of the
-            # trivial path of P(s), read off in the vertex-s space of P(t)
-            v = s - 1
-            src_paths = q.basis_by_pair.get((s, s), [])
-            triv_idx = src_paths.index(q.trivial_path(s))
-            col_idx = src_offsets[c][v] + triv_idx
-            tgt_paths = q.basis_by_pair.get((t, s), [])
-            combo: Combo = {}
-            for k, p in enumerate(tgt_paths):
-                val = pres.map.vertex_maps[v][tgt_offsets[r][v] + k, col_idx]
-                if val != 0:
-                    combo[p] = Fraction(val)
-            row.append(combo)
-        entries.append(row)
-    return entries
-
-
 def _block_offsets(summands: list[Representation]) -> list[list[int]]:
     """Block start per summand and vertex in the direct sum of ``summands``."""
     offsets = []
@@ -549,68 +524,52 @@ def _block_offsets(summands: list[Representation]) -> list[list[int]]:
     return offsets
 
 
-def nakayama_on_map(q: BoundQuiver, source_vertices: tuple[int, ...],
-                    target_vertices: tuple[int, ...],
-                    entries: list[list[Combo]]) -> ModuleMap:
-    """Nakayama functor on a map between projectives given in path coordinates.
-
-    ``entries[r][c]`` is the component P(source_vertices[c]) ->
-    P(target_vertices[r]) as a combination of paths from target_vertices[r]
-    to source_vertices[c] (left multiplication).  Returns the corresponding
-    map between the matching direct sums of injectives.
-    """
-    for r, t in enumerate(target_vertices):
-        for c, s in enumerate(source_vertices):
-            for p in entries[r][c]:
-                if p[0] != t or q.path_target(p) != s:
-                    raise ValueError("entry is not a map between the stated projectives")
-    src_summands = [injective(q, i) for i in source_vertices]
-    tgt_summands = [injective(q, i) for i in target_vertices]
-    src, tgt = direct_sum(q, src_summands), direct_sum(q, tgt_summands)
-    src_off, tgt_off = _block_offsets(src_summands), _block_offsets(tgt_summands)
-    vm = [linalg.zeros(tgt.dims[v], src.dims[v]) for v in range(q.n)]
-    for r, t in enumerate(target_vertices):
-        for c, s in enumerate(source_vertices):
-            combo = entries[r][c]
-            if not combo:
-                continue
-            for v in range(1, q.n + 1):
-                src_paths = q.basis_by_pair.get((v, s), [])
-                tgt_paths = q.basis_by_pair.get((v, t), [])
-                if not src_paths or not tgt_paths:
-                    continue
-                src_index = {p: k for k, p in enumerate(src_paths)}
-                for row, x in enumerate(tgt_paths):
-                    for qpath, coef in combo.items():
-                        prod = q.compose_combo({x: Fraction(1)}, {qpath: coef})
-                        for p, c2 in prod.items():
-                            col = src_index.get(p)
-                            if col is not None:
-                                vm[v - 1][tgt_off[r][v - 1] + row,
-                                          src_off[c][v - 1] + col] += c2
-    return ModuleMap(src, tgt, vm, check=False)
-
-
 @memoised
 def tau(m: Representation) -> Representation:
-    """Auslander-Reiten translate via the Nakayama functor on the minimal
-    presentation; projectives (and projective summands) are killed."""
+    """Auslander-Reiten translate: the kernel of the Nakayama functor applied
+    to the minimal presentation P1 -> P0; projectives (and projective
+    summands) are killed.
+
+    The component P(s) -> P(t) of the presentation is left multiplication
+    by the image y of e_s, the first basis path s ~> s, read in P(t)_s.  Its
+    Nakayama image I(s) -> I(t) at vertex v is the transpose of the right
+    action of y on P(v), from P(v)_t to P(v)_s.  The engine never calls
+    this: it reads dim Hom(X, tau M) off :func:`ar_pairing`."""
     q = m.algebra
     pres = minimal_projective_presentation(m)
     if not pres.p1_vertices:
         return zero_rep(q)
-    entries = _presentation_path_data(pres)
-    nu = nakayama_on_map(q, pres.p1_vertices, pres.p0_vertices, entries)
-    return kernel(nu)[0]
+    p1_at = _block_offsets([projective(q, s) for s in pres.p1_vertices])
+    p0_at = _block_offsets([projective(q, t) for t in pres.p0_vertices])
+    vm = []
+    for v in range(q.n):
+        pv = projective(q, v + 1)
+        rows = []
+        for r, t in enumerate(pres.p0_vertices):
+            blocks = []
+            for c, s in enumerate(pres.p1_vertices):
+                at_s = pres.map.vertex_maps[s - 1]
+                action = linalg.zeros(pv.dims[s - 1], pv.dims[t - 1])
+                for k, path in enumerate(q.basis_by_pair.get((t, s), [])):
+                    y_k = at_s[p0_at[r][s - 1] + k, p1_at[c][s - 1]]
+                    if y_k:
+                        action = action + pv.path_action(path) * y_k
+                blocks.append(action.T)
+            rows.append(linalg.hstack(blocks, pv.dims[t - 1]))
+        vm.append(linalg.vstack(rows, sum(pv.dims[s - 1] for s in pres.p1_vertices)))
+    src = direct_sum(q, [injective(q, s) for s in pres.p1_vertices])
+    tgt = direct_sum(q, [injective(q, t) for t in pres.p0_vertices])
+    return kernel(ModuleMap(src, tgt, vm, check=False))[0]
 
 
 def ar_pairing(m: Representation, n: Representation) -> int:
     """Canonical inner product of the g-vector of M with the dimension vector
-    of N; equals dim Hom(M,N) - dim Hom(N, tau M)."""
+    of N; equals dim Hom(M,N) - dim Hom(N, tau M) (Adachi-Iyama-Reiten,
+    tau-tilting theory, 2014), which is how the engine decides Hom(N, tau M).
+    """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
-    g = g_vector(m)
-    return sum(gi * di for gi, di in zip(g, n.dims))
+    return sum(map(operator.mul, g_vector(m), n.dims))
 
 
 def ext1_dim(x: Representation, y: Representation) -> int:

@@ -1,7 +1,8 @@
 """Stability: semistable deciders, bricks, torsion classes, theorem checks.
 
 Two independent semistability deciders are provided.  The primary one tests
-the Hom-vanishing conditions attached to a rigid pair; the second enumerates
+the Hom-vanishing conditions attached to a rigid pair, reading Hom(X, tau M)
+off the g-vector pairing so that tau M is never built; the second enumerates
 all subrepresentations over a small prime field and checks the defining
 inequalities literally.  They are cross-validated in the verification
 reports.  Bricks are extracted per slot of a pair and assembled into the
@@ -20,6 +21,7 @@ from .modules import (
     _in_fac,
     _trace_bases,
     _trace_spans,
+    ar_pairing,
     cokernel,
     decompose,
     end_radical_basis,
@@ -27,7 +29,6 @@ from .modules import (
     hom_dim,
     is_isomorphic,
     quotient_from_bases,
-    tau,
 )
 from .tautilting import (
     EnumerationError,
@@ -80,14 +81,14 @@ def pairing(theta, dims) -> int:
 
 def is_semistable_hom(x: Representation, rigid: TauPair) -> bool:
     """Hom-criterion semistability for the stability vector of a rigid pair:
-    X is semistable iff Hom(M, X) = 0, Hom(X, tau M) = 0 and Hom(P, X) = 0."""
+    X is semistable iff Hom(P, X) = 0, Hom(M, X) = 0 and Hom(X, tau M) = 0.
+    As dim Hom(X, tau M) = dim Hom(M, X) - <g^M, dim X>, the last two read
+    Hom(M, X) = 0 and <g^M, dim X> = 0 for each summand M."""
     for j in rigid.p_parts:
         if x.dims[j - 1] != 0:
             return False
     for m in rigid.m_parts:
-        if hom_dim(m, x) != 0:
-            return False
-        if hom_dim(x, tau(m)) != 0:
+        if hom_dim(m, x) != 0 or ar_pairing(m, x) != 0:
             return False
     return True
 

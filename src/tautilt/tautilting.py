@@ -17,6 +17,7 @@ from .algebra import BoundQuiver, memoised
 from .modules import (
     Representation,
     _in_fac,
+    ar_pairing,
     canonical_sort_key,
     cokernel,
     decompose,
@@ -26,7 +27,6 @@ from .modules import (
     is_projective_rep,
     minimal_left_approximation,
     projective,
-    tau,
 )
 
 
@@ -96,7 +96,8 @@ def is_tau_rigid_pair(m: Representation, p: Representation) -> bool:
     """Rigidity test for a (module, projective) pair of representations."""
     if not p.is_zero() and not is_projective_rep(p):
         raise ValueError("second member of the pair is not projective")
-    if hom_dim(m, tau(m)) != 0:
+    # dim Hom(M, tau M) = dim Hom(M, M) - <g^M, dim M>
+    if hom_dim(m, m) != ar_pairing(m, m):
         return False
     if hom_dim(p, m) != 0:
         return False
@@ -114,12 +115,8 @@ def pair_is_valid(pair: TauPair) -> bool:
         for j in pair.p_parts:
             if rep.dims[j - 1] != 0:  # Hom(P(j), X) has dimension dim X_j
                 return False
-    taus = [tau(rep) for rep in parts]
-    for x in parts:
-        for t in taus:
-            if hom_dim(x, t) != 0:
-                return False
-    return True
+    # dim Hom(X, tau M) = dim Hom(M, X) - <g^M, dim X>
+    return all(hom_dim(m, x) == ar_pairing(m, x) for m in parts for x in parts)
 
 
 def remove_summand(pair: TauPair, r: int) -> TauPair:

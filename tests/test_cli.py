@@ -10,6 +10,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, LOOP_TEXT
 
+from tautilt import modules
 from tautilt.cli import main
 from tautilt.modules import DecompositionError
 from tautilt.tautilting import TheoremViolationError
@@ -355,6 +356,38 @@ def test_verify_without_sympy_subprocess():
     out = subprocess.run([sys.executable, "-c", _NO_SYMPY_MAIN, str(WORKLOADS / "a5.alg"),
                           "verify"], capture_output=True, check=True).stdout
     assert json.loads(out)["all_pass"] is True
+
+
+def test_engine_commands_build_no_tau_and_no_injective(monkeypatch, capsys):
+    # the engine reads Hom(X, tau M) off the g-vector pairing; only info
+    # builds injectives.  Each wrapper is rebound in every tautilt namespace
+    # that holds the original, as a from-import binds at import time.
+    calls = {"tau": 0, "injective": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        fn = getattr(modules, name)
+        wrapper = counting(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "tautilt" or mod_name.startswith("tautilt."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    algebras = Path(__file__).resolve().parents[1] / "algebras"
+    for argv in ([str(WORKLOADS / "a5.alg"), "verify"],
+                 [str(algebras / "kronecker.alg"), "enumerate", "--format", "json",
+                  "--max-nodes", "12"],
+                 [str(WORKLOADS / "preproj_a3.alg"), "fan", "--format", "svg"]):
+        assert main(argv) in (0, 2)
+        capsys.readouterr()
+    assert calls == {"tau": 0, "injective": 0}
+    assert main([str(WORKLOADS / "a5.alg"), "info"]) == 0
+    assert calls["injective"] > 0
 
 
 @pytest.mark.parametrize("command, fmt", [("graph", "svg"), ("graph", "json"),

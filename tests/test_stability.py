@@ -8,16 +8,18 @@ import pytest
 
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import enumerate_exchange_graph, linalg, parse_algebra, stability
+from tautilt import cli, enumerate_exchange_graph, linalg, parse_algebra, stability
 from tautilt.modules import (
     cokernel,
     direct_sum,
     hom_basis,
+    hom_dim,
     is_isomorphic,
     projective,
     rep_from_literal,
     simple,
     sub_from_bases,
+    tau,
     trace,
     zero_rep,
 )
@@ -40,7 +42,7 @@ from tautilt.stability import (
     verify_facm_theorem,
     verify_pair,
 )
-from tautilt.tautilting import TauPair, g_matrix, remove_summand
+from tautilt.tautilting import TauPair, g_matrix, is_tau_rigid_pair, pair_is_valid, remove_summand
 
 
 def node_by_desc(graph, desc):
@@ -220,6 +222,29 @@ def test_dual_oracle_agreement(corpus_graphs):
                 for x in graph.registry.reps:
                     assert is_semistable_hom(x, almost) == \
                         is_semistable_bruteforce(x, theta, 2)
+
+
+def test_hom_criterion_matches_tau_definition(corpus_graphs):
+    # the pairing form of the criterion against Hom(P, X) = Hom(M, X) =
+    # Hom(X, tau M) = 0 with tau M built, on every wall and verify probe
+    for graph in corpus_graphs.values():
+        probes = cli._probes_for(graph)
+        for pair in graph.nodes:
+            for r in range(pair.n_summands):
+                almost = remove_summand(pair, r)
+                for x in probes:
+                    by_tau = (not any(x.dims[j - 1] for j in almost.p_parts)
+                              and not any(hom_dim(m, x) or hom_dim(x, tau(m))
+                                          for m in almost.m_parts))
+                    assert is_semistable_hom(x, almost) == by_tau, (pair, r, x)
+
+
+def test_rigidity_sees_tau_of_a_simple(a3_rel):
+    # tau S(1) = S(2), so Hom(S(2), tau S(1)) != 0 although Hom(S(1), S(2)) = 0
+    s1, s2 = simple(a3_rel, 1), simple(a3_rel, 2)
+    assert tau(s1) is s2
+    assert not pair_is_valid(TauPair(a3_rel, (s1, s2), ()))
+    assert not is_tau_rigid_pair(direct_sum(a3_rel, [s1, s2]), zero_rep(a3_rel))
 
 
 # ----------------------------------------------------------------------
