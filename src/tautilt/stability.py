@@ -4,13 +4,17 @@ Two independent semistability deciders are provided.  The primary one tests
 the Hom-vanishing conditions attached to a rigid pair, reading Hom(X, tau M)
 off the g-vector pairing so that tau M is never built; the second enumerates
 all subrepresentations over a small prime field and checks the defining
-inequalities literally.  They are cross-validated in the verification
-reports.  Bricks are extracted per slot of a pair and assembled into the
-matrix identity C = X D with D diagonal +-1.
+inequalities literally.  That oracle shares no code with the engine, and
+its answer or budget verdict is decided once per (module, prime).  They
+are cross-validated in the verification reports.  Bricks are extracted per
+slot of a pair and assembled into the matrix identity C = X D with D
+diagonal +-1.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,123 +97,107 @@ def is_semistable_hom(x: Representation, rigid: TauPair) -> bool:
     return True
 
 
-def _mod_p(value: Fraction, p: int) -> int:
-    value = Fraction(value)
-    if value.denominator % p == 0:
-        raise BudgetExceeded(f"denominator {value.denominator} clashes with prime {p}")
-    return (value.numerator * pow(value.denominator, -1, p)) % p
-
-
-def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] % p != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p != 0:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return [row for row in mat[:r]]
-
-
 def submodule_dim_vectors(x: Representation, p: int = 2) -> set[tuple[int, ...]]:
     """Dimension vectors of all subrepresentations over the p-element field.
 
-    Cyclic submodules of every vector are closed under the arrow action, and
-    the collection is then closed under sums.  Requires p^(dim X) and the
-    number of sum merges within the enumeration budget, and all matrix
-    entries p-integral.  Answers are memoised per (module, prime); a probe that
-    raises is never cached, so it raises again on every call.
+    The answer, or the reason the enumeration is over budget, is decided
+    once per (module, prime) by :func:`_enumerate_submodule_dims` and
+    memoised; an over-budget probe raises :class:`BudgetExceeded` from the
+    stored reason on every call without being enumerated again.
     """
-    d = x.total_dim
-    if p ** d > BRUTE_FORCE_BUDGET:
-        raise BudgetExceeded(f"{p}^{d} exceeds the submodule enumeration budget")
-    return set(_enumerate_submodule_dims(x, p))
+    outcome = _enumerate_submodule_dims(x, p)
+    if isinstance(outcome, str):
+        raise BudgetExceeded(outcome)
+    return set(outcome)
+
+
+def _insert(basis: dict[int, tuple[int, ...]], vec, p: int) -> tuple[int, ...] | None:
+    """Add vec (entries in [0, p)) to the reduced echelon basis {pivot: row}
+    over GF(p); return the new row, or None when vec is already spanned."""
+    for c, row in basis.items():
+        if vec[c]:
+            f = vec[c]
+            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    pivot = next((c for c, a in enumerate(vec) if a), None)
+    if pivot is None:
+        return None
+    inv = pow(vec[pivot], -1, p)
+    new = tuple(a * inv % p for a in vec)
+    for c, row in basis.items():
+        if row[pivot]:
+            f = row[pivot]
+            basis[c] = tuple((a - f * b) % p for a, b in zip(row, new))
+    basis[pivot] = new
+    return new
 
 
 @memoised
-def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int, ...]]:
-    """The oracle proper; shares no code with the engine but the memo."""
+def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int, ...]] | str:
+    """The oracle proper, sharing no code with the engine but the memo: the
+    submodule dimension vectors of X over GF(p), or why they are over budget
+    (p^dim X vectors, an entry whose denominator p divides, or the merges).
+
+    Every vector of the total space generates a cyclic submodule, closed
+    vertex by vertex under the arrows; the collection is then closed under
+    sums.  A submodule's key is its reduced echelon rows at each vertex."""
     q = x.algebra
     d = x.total_dim
-    arrow_p = {}
+    if p ** d > BRUTE_FORCE_BUDGET:
+        return f"{p}^{d} exceeds the submodule enumeration budget"
+    out_arrows = [[] for _ in range(q.n)]
     for a in q.arrows:
-        arrow_p[a.name] = [[_mod_p(y, p) for y in row] for row in x.arrow_maps[a.name].rows]
-    offsets = []
-    total = 0
-    for v in range(q.n):
-        offsets.append(total)
-        total += x.dims[v]
+        mat = []
+        for row in x.arrow_maps[a.name].rows:
+            mat.append([])
+            for y in map(Fraction, row):
+                if y.denominator % p == 0:
+                    return f"denominator {y.denominator} clashes with prime {p}"
+                mat[-1].append(y.numerator * pow(y.denominator, -1, p) % p)
+        out_arrows[a.source - 1].append((a.target - 1, mat))
+    offsets = [0, *itertools.accumulate(x.dims)]
 
-    def close(vertex_vectors: list[list[list[int]]]) -> tuple:
-        """Close vertexwise spans under the arrow action; canonical RREF key."""
-        spans = [list(vs) for vs in vertex_vectors]
-        changed = True
-        while changed:
-            changed = False
-            reduced = [_rref_mod_p(s, p) if s else [] for s in spans]
-            for a in q.arrows:
-                i, j = a.source - 1, a.target - 1
-                mat = arrow_p[a.name]
-                for vec in reduced[i]:
-                    img = [sum(mat[r][c] * vec[c] for c in range(len(vec))) % p
-                           for r in range(x.dims[j])]
-                    if any(img):
-                        before = len(_rref_mod_p(reduced[j], p)) if reduced[j] else 0
-                        after = len(_rref_mod_p(reduced[j] + [img], p))
-                        if after > before:
-                            reduced[j] = reduced[j] + [img]
-                            changed = True
-            spans = reduced
-        return tuple(tuple(map(tuple, _rref_mod_p(s, p))) if s else ()
-                     for s in spans)
+    def rows(basis) -> tuple:
+        return tuple(basis[c] for c in sorted(basis))
 
-    subs: set[tuple] = set()
-    zero_key = close([[] for _ in range(q.n)])
-    subs.add(zero_key)
-    for code in range(1, p ** d):
-        digits = []
-        c = code
-        for _ in range(d):
-            digits.append(c % p)
-            c //= p
-        vectors = [[] for _ in range(q.n)]
-        for v in range(q.n):
-            comp = digits[offsets[v]:offsets[v] + x.dims[v]]
-            if any(comp):
-                vectors[v].append(list(comp))
-        subs.add(close(vectors))
+    def merged(a: tuple, b: tuple) -> tuple:
+        basis = {}
+        for row in a + b:
+            _insert(basis, row, p)
+        return rows(basis)
+
+    def cyclic(vec) -> tuple:
+        bases = [{} for _ in range(q.n)]
+        todo = [(v, vec[o:o + k]) for v, (o, k) in enumerate(zip(offsets, x.dims))]
+        while todo:
+            i, vec = todo.pop()
+            row = _insert(bases[i], vec, p)
+            if row is not None:
+                todo.extend((j, [sum(map(operator.mul, r, row)) % p for r in mat])
+                            for j, mat in out_arrows[i])
+        return tuple(map(rows, bases))
+
+    zero_key = ((),) * q.n
+    subs = {cyclic(vec) for vec in itertools.product(range(p), repeat=d)}
     # close under sums: every submodule is a sum of cyclic ones, and a sum of
     # two submodules is already closed under the arrows, so each new sum is
     # merged with the cyclic keys only, vertex by vertex
-    cyclic = list(subs - {zero_key})
-    frontier = set(cyclic)
+    cyclic_keys = list(subs - {zero_key})
+    frontier = set(cyclic_keys)
     merges = 0
     while frontier:
         new: set[tuple] = set()
         for s in frontier:
-            for t in cyclic:
+            for t in cyclic_keys:
                 merges += 1
                 if merges > BRUTE_FORCE_BUDGET:
-                    raise BudgetExceeded(
-                        f"closing {len(cyclic)} cyclic submodules under sums "
-                        f"exceeds the budget of {BRUTE_FORCE_BUDGET} merges")
-                key = tuple(tuple(map(tuple, _rref_mod_p([*s[v], *t[v]], p)))
-                            for v in range(q.n))
+                    return (f"closing {len(cyclic_keys)} cyclic submodules under sums "
+                            f"exceeds the budget of {BRUTE_FORCE_BUDGET} merges")
+                key = tuple(map(merged, s, t))
                 if key not in subs:
                     new.add(key)
         subs |= new
         frontier = new
-    return frozenset(tuple(len(s[v]) for v in range(q.n)) for s in subs)
+    return frozenset(tuple(map(len, s)) for s in subs)
 
 
 def _king_condition(x: Representation, theta, p: int, strict: bool) -> bool:

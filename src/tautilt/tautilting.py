@@ -205,14 +205,16 @@ def slot_mutates_down(pair: TauPair, r: int) -> bool:
                                        payload)
 
 
-def mutate_down(pair: TauPair, r: int, max_dim: int) -> TauPair:
+def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -> TauPair:
     """The Fac-smaller completion of the almost pair at module slot r.
 
     Computed from the exchange sequence of the minimal left approximation of
     the removed summand into add of the remaining module part; when the
     cokernel vanishes the summand moves to the shifted-projective side.
     A cokernel of total dimension above ``max_dim`` raises ``_DimLimit``.
-    Every candidate is validated before being returned.
+    Every candidate is validated before being returned, with the cokernel's
+    summand replaced by its registry handle when the registry knows its
+    class (it is never registered here: registry order is the caller's).
     """
     kind, payload = pair.slots()[r]
     if kind != "m":
@@ -231,6 +233,9 @@ def mutate_down(pair: TauPair, r: int, max_dim: int) -> TauPair:
             raise EnumerationError(
                 f"exchange cokernel splits into {len(summands)} distinct classes")
         new_summand = summands[0][0]
+        known = registry.find(new_summand)
+        if known is not None:
+            new_summand = registry.reps[known]
         if not is_isomorphic(new_summand, payload):
             candidate = TauPair(q, tuple(rest) + (new_summand,), pair.p_parts)
             if pair_is_valid(candidate):
@@ -396,7 +401,7 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
             if not slot_mutates_down(pair, r):
                 continue
             try:
-                new_pair = mutate_down(pair, r, max_dim)
+                new_pair = mutate_down(pair, r, max_dim, registry)
             except _DimLimit:
                 truncated = True
                 continue

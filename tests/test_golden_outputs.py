@@ -1,7 +1,8 @@
 """Byte-identity of the CLI: a committed sha256 of stdout, plus the exit code,
 for `enumerate`, `enumerate --format json`, `verify`, `fan` and `graph` with
-`--seed 0` and `--seed 1` on every bundled algebra (Kronecker truncated with
-`--max-nodes 12`), for `verify` on the two benchmark algebras and on
+`--seed 0` and `--seed 1` on every bundled algebra but E7 (Kronecker truncated
+with `--max-nodes 12`; E7 `verify` takes most of a minute, so CI pins its
+digest in a step of its own), for `verify` on the two benchmark algebras and on
 linear A6, and for Kronecker `enumerate --format json` truncated at 20 pairs,
 whose Hom systems are the largest the elimination kernel sees here.
 
@@ -47,6 +48,8 @@ EXTRA_ARGS = {"kronecker": ["--max-nodes", "12"]}
 
 def _cases():
     for path in sorted(ALGEBRAS.glob("*.alg")):
+        if path.stem == "e7":
+            continue
         for command in COMMANDS:
             for seed in (0, 1):
                 yield f"{path.stem}-{command}-seed{seed}"

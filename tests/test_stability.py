@@ -1,6 +1,10 @@
 """Semistability deciders, bricks, slates, torsion classes, theorem checks."""
 
+import collections
+import functools
 import itertools
+import math
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +12,8 @@ import pytest
 
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import cli, enumerate_exchange_graph, linalg, parse_algebra, stability
+from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra, stability
+from tautilt.algebra import memoised
 from tautilt.modules import (
     cokernel,
     direct_sum,
@@ -158,7 +163,7 @@ def test_submodules_warm_cache_agrees_with_cold():
 
 
 @pytest.mark.parametrize("first", [2, 3])
-def test_submodules_denominator_clash_never_cached(first):
+def test_submodules_denominator_clash_raises_on_every_call(first):
     q = parse_algebra(A3_REL_TEXT)
     rep = rep_from_literal(q, {"dims": [1, 1, 0], "arrows": {"a": [["1/2"]]}})
     for p in (first, 5 - first, 2, 3):
@@ -181,6 +186,113 @@ def test_submodules_over_budget_raise_again(a3_rel):
             submodule_dim_vectors(wide, 2)
     five = direct_sum(a3_rel, [simple(a3_rel, 1)] * 5)
     assert submodule_dim_vectors(five, 2) == {(k, 0, 0) for k in range(6)}
+
+
+@functools.cache
+def _subspaces(k: int, p: int) -> frozenset:
+    """Every subspace of GF(p)^k, each as the frozenset of its vectors."""
+    vectors = list(itertools.product(range(p), repeat=k))
+    found = {frozenset([(0,) * k])}
+    todo = list(found)
+    while todo:
+        s = todo.pop()
+        for v in vectors:
+            if v not in s:
+                span = frozenset(tuple((a + c * b) % p for a, b in zip(u, v))
+                                 for u in s for c in range(p))
+                if span not in found:
+                    found.add(span)
+                    todo.append(span)
+    return frozenset(found)
+
+
+def _submodule_dims_by_definition(x, p):
+    """Dimension vectors of the vertexwise tuples of subspaces of X over
+    GF(p) that every arrow maps into themselves."""
+    q = x.algebra
+    mats = {a.name: [[Fraction(y).numerator * pow(Fraction(y).denominator, -1, p) % p
+                      for y in row] for row in x.arrow_maps[a.name].rows]
+            for a in q.arrows}
+
+    def closed(choice):
+        return all(tuple(sum(m * c for m, c in zip(row, u)) % p for row in mats[a.name])
+                   in choice[a.target - 1]
+                   for a in q.arrows for u in choice[a.source - 1])
+
+    return {tuple(round(math.log(len(s), p)) for s in choice)
+            for choice in itertools.product(*(_subspaces(d, p) for d in x.dims))
+            if closed(choice)}
+
+
+def test_submodules_match_definition(corpus_graphs):
+    kron = parse_algebra("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    graphs = [*corpus_graphs.values(), enumerate_exchange_graph(kron, 12),
+              *(enumerate_exchange_graph(parse_algebra(text))
+                for text in ((WORKLOADS / "a5.alg").read_text(), PREPROJ_A3_TEXT))]
+    probes = [direct_sum(graph.algebra, list(c)) for graph in graphs for k in (1, 2)
+              for c in itertools.combinations_with_replacement(graph.registry.reps, k)
+              if sum(m.total_dim for m in c) <= 4]
+    a3r = parse_algebra(A3_REL_TEXT)
+    # the map 2 vanishes over GF(2) only; x^2 + 1 splits over GF(2) only
+    probes.append(rep_from_literal(a3r, {"dims": [1, 1, 0], "arrows": {"a": [["2"]]}}))
+    probes.append(rep_from_literal(kron, {"dims": [2, 2], "arrows": {
+        "a": [["1", "0"], ["0", "1"]], "b": [["0", "-1"], ["1", "0"]]}}))
+    assert len(probes) > 200
+    for x in probes:
+        for p in (2, 3):
+            assert submodule_dim_vectors(x, p) == _submodule_dims_by_definition(x, p), \
+                (x.dims, p)
+
+
+def test_oracle_names_nothing_from_the_engine():
+    engine = {"linalg", "modules"} | {
+        name for mod in (linalg, modules) for name, obj in vars(mod).items()
+        if getattr(obj, "__module__", None) == mod.__name__}
+    codes = [stability.submodule_dim_vectors.__code__, stability._insert.__code__,
+             stability._enumerate_submodule_dims.__wrapped__.__code__]
+    names = set()
+    while codes:
+        code = codes.pop()
+        names |= set(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    assert "_insert" in names and not names & engine
+
+
+def test_oracle_enumerates_each_probe_once_per_prime(monkeypatch):
+    # with a budget of 8, dimension-3 uniserial probes need 9 merges and
+    # dimension-4 probes 2^4 vectors: both verdicts are over budget
+    monkeypatch.setattr(stability, "BRUTE_FORCE_BUDGET", 8)
+    enumerated = collections.Counter()
+    oracle = stability._enumerate_submodule_dims.__wrapped__
+
+    def counted(x, p):
+        enumerated[x, p] += 1
+        return oracle(x, p)
+
+    monkeypatch.setattr(stability, "_enumerate_submodule_dims", memoised(counted))
+    q = parse_algebra((WORKLOADS / "a5.alg").read_text())
+    graph = enumerate_exchange_graph(q)
+    for idx in range(len(graph.nodes)):  # registers every brick, as verify does
+        slate_for_node(graph, idx)
+    probes = tuple(cli._probes_for(graph))
+    reports = [verify_pair(pair, graph, probes) for pair in graph.nodes]
+    assert enumerated and set(enumerated.values()) == {1}
+    verdicts = {}
+    for x in probes:
+        try:
+            submodule_dim_vectors(x, 2)
+        except BudgetExceeded as exc:
+            verdicts[x] = str(exc)
+    assert any("merges" in v for v in verdicts.values())
+    assert any("enumeration budget" in v for v in verdicts.values())
+    assert set(enumerated.values()) == {1}
+    total = 0
+    for pair, report in zip(graph.nodes, reports):
+        over = sum(1 for r in range(q.n) for x in probes if x in verdicts
+                   and pairing(theta_of_pair(remove_summand(pair, r)), x.dims) == 0)
+        assert report.get("dual_oracle_skipped", 0) == over
+        total += over
+    assert total > 0 and all(r["pass"] for r in reports)
 
 
 def test_verify_pair_reports_independent_of_oracle_cache():
