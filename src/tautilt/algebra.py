@@ -200,8 +200,9 @@ class BoundQuiver:
     def _reduce_once(self, p: Path, rules) -> Combo | None:
         """Apply one rule at the leftmost matching position, or None if irreducible."""
         source, names = p
+        order = sorted(rules, key=lambda t: (-len(t), t))
         for start in range(len(names)):
-            for lhs in sorted(rules, key=lambda t: (-len(t), t)):
+            for lhs in order:
                 k = len(lhs)
                 if names[start:start + k] == lhs:
                     out: Combo = {}

@@ -192,7 +192,7 @@ def cmd_verify(q, args) -> int:
     for i in range(len(graph.nodes)):  # registers every brick before probing
         slate = slate_for_node(graph, i)
         for b in slate.bricks:
-            bricks[graph.registry.id_of(b)] = b
+            bricks[graph.registry.find(b)] = b
     probes = tuple(_probes_for(graph))  # one tuple keys every wall's oracle answer
     reports = [verify_pair(pair, graph, probes, prime=args.prime) for pair in graph.nodes]
     brick_reports = []

@@ -160,8 +160,10 @@ def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int,
         return tuple(basis[c] for c in sorted(basis))
 
     def merged(a: tuple, b: tuple) -> tuple:
-        basis = {}
-        for row in a + b:
+        # a's rows are already a reduced echelon basis; each row's pivot is
+        # its first nonzero entry, which is 1
+        basis = {row.index(1): row for row in a}
+        for row in b:
             _insert(basis, row, p)
         return rows(basis)
 
@@ -418,12 +420,12 @@ def semibrick_to_pair(bricks, graph: ExchangeGraph):
                 raise ValueError("input bricks are not pairwise Hom-orthogonal")
     if not graph.complete:
         raise EnumerationError("exchange graph is truncated; matching is unreliable")
-    registry = graph.registry
-    want = sorted(registry.id_of(b) for b in blist)
-    for idx in range(len(graph.nodes)):
-        slate = slate_for_node(graph, idx)
-        have = sorted(registry.id_of(b) for b in b_plus(slate))
-        if have == want:
+    # the slates register every brick label, so the inputs need only lookups;
+    # Hom-orthogonal bricks are pairwise non-isomorphic, so sets compare them
+    slates = [slate_for_node(graph, idx) for idx in range(len(graph.nodes))]
+    want = set(map(graph.registry.find, blist))
+    for idx, slate in enumerate(slates):
+        if set(map(graph.registry.find, b_plus(slate))) == want:
             return graph.nodes[idx]
     return None
 

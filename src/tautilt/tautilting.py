@@ -212,9 +212,10 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     the removed summand into add of the remaining module part; when the
     cokernel vanishes the summand moves to the shifted-projective side.
     A cokernel of total dimension above ``max_dim`` raises ``_DimLimit``.
-    Every candidate is validated before being returned, with the cokernel's
-    summand replaced by its registry handle when the registry knows its
-    class (it is never registered here: registry order is the caller's).
+    The module parts of ``pair`` are handles of ``registry``, and so are
+    those of the result: the cokernel's summand is replaced by its handle
+    before the candidate is validated, and a new class is registered once
+    the candidate is valid.
     """
     kind, payload = pair.slots()[r]
     if kind != "m":
@@ -239,6 +240,8 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
         if not is_isomorphic(new_summand, payload):
             candidate = TauPair(q, tuple(rest) + (new_summand,), pair.p_parts)
             if pair_is_valid(candidate):
+                if known is None:
+                    registry.add(new_summand)
                 return candidate
     # support shrinks: the slot becomes a shifted projective
     candidates = []
@@ -287,24 +290,19 @@ class ModuleRegistry:
                 return idx
         return None
 
-    def id_of(self, rep: Representation) -> int:
-        """Id of the class of rep, registering rep as its handle if new."""
-        idx = self.find(rep)
-        if idx is None:
-            idx = len(self.reps)
-            self.reps.append(rep)
-            self._by_dims.setdefault(rep.dims, []).append(idx)
-            self._by_handle[rep] = idx
+    def add(self, rep: Representation) -> int:
+        """Register rep as the handle of a new class and return its id; the
+        caller has found no class for it."""
+        idx = len(self.reps)
+        self.reps.append(rep)
+        self._by_dims.setdefault(rep.dims, []).append(idx)
+        self._by_handle[rep] = idx
         return idx
 
     def handle(self, rep: Representation) -> Representation:
-        return self.reps[self.id_of(rep)]
-
-
-def _pair_key(ids, p_parts) -> tuple:
-    """Key of a pair from the registry ids of its module parts and its
-    projective vertices; equal keys mean isomorphic pairs."""
-    return tuple(sorted(ids)), tuple(p_parts)
+        """The handle of the class of rep, registering rep if the class is new."""
+        idx = self.find(rep)
+        return self.reps[self.add(rep) if idx is None else idx]
 
 
 @dataclass(frozen=True)
@@ -318,11 +316,12 @@ class Edge:
 
 @dataclass(eq=False)
 class ExchangeGraph:
-    """Nodes and edges of the exchange graph, indexed once by pair key: each
-    node by its key, and each edge by the key of the almost pair that its
-    source minus its slot is (the edge joins that almost pair's two
-    completions, Fac-larger first).  Graphs compare and hash by identity, so
-    a graph keys the memo of its per-node answers."""
+    """Nodes and edges of the exchange graph, indexed once: each node by its
+    pair, and each edge by the almost pair that its source minus its slot is
+    (the edge joins that almost pair's two completions, Fac-larger first).
+    Node parts are registry handles, and a lookup maps a pair onto handles
+    first.  Graphs compare and hash by identity, so a graph keys the memo
+    of its per-node answers."""
     algebra: BoundQuiver
     nodes: list[TauPair]
     edges: list[Edge]
@@ -332,27 +331,25 @@ class ExchangeGraph:
     max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self) -> None:
-        part_ids = [[self.registry.find(x) for x in node.m_parts] for node in self.nodes]
-        self._node_of = {_pair_key(ids, node.p_parts): i
-                         for i, (ids, node) in enumerate(zip(part_ids, self.nodes))}
+        self._node_of = {node: i for i, node in enumerate(self.nodes)}
         self._edge_of = {}
         self._degrees = [0] * len(self.nodes)
         for e in self.edges:
-            ids, p_parts = list(part_ids[e.src]), list(self.nodes[e.src].p_parts)
-            if e.slot < len(ids):
-                del ids[e.slot]
-            else:
-                del p_parts[e.slot - len(ids)]
-            self._edge_of[_pair_key(ids, p_parts)] = e
+            self._edge_of[remove_summand(self.nodes[e.src], e.slot)] = e
             self._degrees[e.src] += 1
             self._degrees[e.dst] += 1
 
     def degree(self, idx: int) -> int:
         return self._degrees[idx]
 
-    def _key(self, pair: TauPair) -> tuple | None:
+    def _key(self, pair: TauPair) -> TauPair | None:
+        """The pair over the handles of its parts' classes, or None when a
+        part is in no registered class; registers nothing."""
         ids = [self.registry.find(x) for x in pair.m_parts]
-        return None if None in ids else _pair_key(ids, pair.p_parts)
+        if None in ids:
+            return None
+        handles = tuple(self.registry.reps[i] for i in ids)
+        return pair if handles == pair.m_parts else TauPair(pair.algebra, handles, pair.p_parts)
 
     def node_index(self, pair: TauPair) -> int:
         idx = self._node_of.get(self._key(pair))
@@ -393,7 +390,7 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
     start = TauPair(q, tuple(registry.handle(projective(q, i))
                              for i in range(1, q.n + 1)), ())
     truncated = False
-    keys = {_pair_key(map(registry.id_of, start.m_parts), start.p_parts): 0}
+    index = {start: 0}
     nodes = [start]
     raw_edges: list[tuple[int, int, int, tuple[int, ...]]] = []
     for src_idx, pair in enumerate(nodes):  # nodes doubles as the BFS queue
@@ -405,18 +402,15 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
             except _DimLimit:
                 truncated = True
                 continue
-            new_pair = TauPair(q, tuple(registry.handle(x) for x in new_pair.m_parts),
-                               new_pair.p_parts)
-            key = _pair_key(map(registry.id_of, new_pair.m_parts), new_pair.p_parts)
-            if key not in keys:
+            if new_pair not in index:
                 if len(nodes) >= max_nodes:
                     truncated = True
                     continue
-                keys[key] = len(nodes)
+                index[new_pair] = len(nodes)
                 nodes.append(new_pair)
             c = c_matrix(pair)
             col = tuple(int(c[i, r]) for i in range(q.n))
-            raw_edges.append((src_idx, keys[key], r, col))
+            raw_edges.append((src_idx, index[new_pair], r, col))
 
     order = sorted(range(len(nodes)), key=lambda i: _node_sort_key(q, nodes[i]))
     relabel = {old: new for new, old in enumerate(order)}

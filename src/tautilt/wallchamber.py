@@ -98,9 +98,9 @@ def build_fan(graph: ExchangeGraph, prime: int = 2) -> Fan:
         chambers.append(chamber_of_pair(pair, pair_id=idx))
         slate = slate_for_node(graph, idx)
         for b in slate.bricks:
-            bid = graph.registry.id_of(b)
+            bid = graph.registry.find(b)
             if bid not in wall_by_brick:
-                wall_by_brick[bid] = wall_of_brick(graph.registry.reps[bid], prime)
+                wall_by_brick[bid] = wall_of_brick(b, prime)
     walls = tuple(w for _bid, w in sorted(wall_by_brick.items(),
                                           key=lambda kv: (kv[1].normal, kv[0])))
     return Fan(graph.algebra.fingerprint(), tuple(chambers), walls)

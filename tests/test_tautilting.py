@@ -1,6 +1,8 @@
 """Pairs, mutation, enumeration, G/C matrices, sign coherence."""
 
 import itertools
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import PREPROJ_A3_TEXT
 
 from tautilt import linalg, parse_algebra, tautilting
 from tautilt.modules import (
+    Representation,
     direct_sum,
     hom_dim,
     is_isomorphic,
@@ -18,8 +21,10 @@ from tautilt.modules import (
     tau,
     zero_rep,
 )
+from tautilt.stability import b_plus, semibrick_to_pair, slate_for_node
 from tautilt.tautilting import (
     EnumerationError,
+    ModuleRegistry,
     TauPair,
     c_matrix,
     complete_almost_pair,
@@ -191,8 +196,8 @@ def test_edges_differ_in_one_slot(corpus_graphs):
         registry = graph.registry
         for e in graph.edges:
             src, dst = graph.nodes[e.src], graph.nodes[e.dst]
-            src_ids = sorted(registry.id_of(x) for x in src.m_parts)
-            dst_ids = sorted(registry.id_of(x) for x in dst.m_parts)
+            src_ids = sorted(registry.find(x) for x in src.m_parts)
+            dst_ids = sorted(registry.find(x) for x in dst.m_parts)
             shared = 0
             pool = list(dst_ids)
             for x in src_ids:
@@ -227,6 +232,83 @@ def test_graph_lookups_leave_registry_unchanged(a3_rel, a3_rel_graph):
     with pytest.raises(EnumerationError):
         complete_almost_pair(TauPair(a3_rel, (doubled, p2), ()), graph=a3_rel_graph)
     assert len(registry.reps) == before
+
+
+def test_semibrick_lookup_keeps_the_callers_module_out_of_the_registry():
+    # on a fresh graph, a copy of the brick 1 <- 2 -> 3 with its arrow maps
+    # scaled by 2 is isomorphic to a slate label that no node has as a
+    # summand; matching it must not make the copy that class's handle
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    graph = enumerate_exchange_graph(q)
+    copy = rep_from_literal(q, {"dims": [1, 1, 1], "arrows": {"b": [[2]], "c": [[2]]}})
+    assert graph.registry.find(copy) is None
+    pair = semibrick_to_pair([copy], graph)
+    assert pair is not None and graph.registry.find(copy) is not None
+    assert not any(rep is copy for rep in graph.registry.reps)
+    slate_bricks = [b for i in range(len(graph.nodes))
+                    for b in slate_for_node(graph, i).bricks]
+    assert not any(b is copy for b in slate_bricks)
+
+
+def test_enumeration_registers_each_class_once(monkeypatch):
+    # the exchange step matches a cokernel summand against the registry
+    # once and registers a new class with add, which matches nothing
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    find_calls = 0
+    added = []
+
+    def counting(m, n):
+        nonlocal find_calls
+        find_calls += sys._getframe(1).f_code is ModuleRegistry.find.__code__
+        return is_isomorphic(m, n)
+
+    def recording_add(self, rep):
+        added.append(rep)
+        return real_add(self, rep)
+
+    real_add = ModuleRegistry.add
+    monkeypatch.setattr(tautilting, "is_isomorphic", counting)
+    monkeypatch.setattr(ModuleRegistry, "add", recording_add)
+    graph = enumerate_exchange_graph(q)
+    assert graph.complete and len(graph.nodes) == 24
+    assert find_calls == 9  # 13 when a new class was matched twice
+    assert added == graph.registry.reps
+    assert {x for node in graph.nodes for x in node.m_parts} == set(added)
+    for i in range(len(graph.nodes)):
+        slate_for_node(graph, i)
+    assert find_calls == 28
+    assert added == graph.registry.reps
+
+
+def test_graph_lookups_register_nothing_once_slates_are_built():
+    # only enumeration and the slates register classes: every lookup after
+    # them, by handles or by isomorphic copies, leaves the registry as it is
+    q = parse_algebra(PREPROJ_A3_TEXT)
+    graph = enumerate_exchange_graph(q)
+    slates = [slate_for_node(graph, i) for i in range(len(graph.nodes))]
+    reps = list(graph.registry.reps)
+    for i, node in enumerate(graph.nodes):
+        assert graph.node_index(node) == i
+    for e in graph.edges:
+        larger, _ = complete_almost_pair(remove_summand(graph.nodes[e.src], e.slot), graph)
+        assert larger is graph.nodes[e.src]
+    copied = 0
+    for i, (node, slate) in enumerate(zip(graph.nodes, slates)):
+        copy = TauPair(q, [_rescaled(x) for x in node.m_parts], node.p_parts)
+        assert graph.node_index(copy) == i
+        bricks = [_rescaled(b) for b in b_plus(slate)]
+        assert semibrick_to_pair(bricks, graph) is node
+        copied += sum(not any(b is x for x in reps) for b in bricks)
+    assert copied
+    assert graph.registry.reps == reps
+
+
+def _rescaled(rep):
+    """An isomorphic copy of rep: its space at the first vertex scaled by 2."""
+    maps = {a.name: rep.arrow_maps[a.name] * Fraction(2 if a.target == 1 else 1,
+                                                      2 if a.source == 1 else 1)
+            for a in rep.algebra.arrows}
+    return Representation(rep.algebra, rep.dims, maps)
 
 
 def test_graph_lookups_by_identity(monkeypatch):
