@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 
@@ -32,8 +32,7 @@ class AlgebraError(ValueError):
     """Raised for malformed or non-admissible algebra presentations."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int

@@ -14,8 +14,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import BoundQuiver, Path, memoised
@@ -307,7 +307,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     return out
 
 
+@memoised
 def hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N), an integer fact memoised per (M, N) beside the basis."""
     return len(hom_basis(m, n))
 
 
@@ -444,12 +446,22 @@ def _in_fac(parts: list[Representation], x: Representation) -> bool:
     return all(b.shape[1] == d for b, d in zip(_trace_bases(parts, x), x.dims))
 
 
+def _in_fac_relevant(parts, x: Representation) -> bool:
+    """:func:`_in_fac`, decided on the parts with Hom(part, X) != 0 alone (the
+    others add nothing to the trace) and memoised on X and those parts."""
+    return _in_fac_of(x, tuple(p for p in parts if hom_dim(p, x)))
+
+
+@memoised
+def _in_fac_of(x: Representation, parts: tuple[Representation, ...]) -> bool:
+    return _in_fac(list(parts), x)
+
+
 # ----------------------------------------------------------------------
 # presentations, g-vectors, tau
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectivePresentation:
+class ProjectivePresentation(NamedTuple):
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
     p1_vertices: tuple[int, ...]
     p0_vertices: tuple[int, ...]
@@ -588,8 +600,7 @@ def ext1_dim(x: Representation, y: Representation) -> int:
 # approximations
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(NamedTuple):
     """A minimal add-N approximation: the map plus the summands used."""
     map: ModuleMap
     summands: tuple[Representation, ...]

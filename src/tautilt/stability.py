@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import memoised
 from .modules import (
     Representation,
-    _in_fac,
+    _in_fac_relevant,
     _trace_bases,
-    _trace_spans,
     ar_pairing,
     cokernel,
     decompose,
@@ -76,7 +74,7 @@ def theta_of_slot(pair: TauPair, r: int) -> tuple[int, ...]:
 
 def pairing(theta, dims) -> int:
     """<theta, dims>."""
-    return sum(t * d for t, d in zip(theta, dims))
+    return sum(map(operator.mul, theta, dims))
 
 
 # ----------------------------------------------------------------------
@@ -252,16 +250,31 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
 @memoised
 def _wall_brick(exchanged: Representation, almost: TauPair) -> Representation:
     """The brick of a wall, from the exchanged summand of its Fac-larger
-    completion, memoised per (summand, wall).
+    completion, memoised per (summand, wall).  It is built by
+    :func:`_exchanged_brick` from the wall's module summands with a nonzero
+    map into the exchanged one, and validated here, per wall, as a
+    Hom-semistable brick on the wall's hyperplane."""
+    brick = _exchanged_brick(exchanged, tuple(m for m in almost.m_parts
+                                              if hom_dim(m, exchanged)))
+    if not is_semistable_hom(brick, almost):
+        raise TheoremViolationError("extracted brick fails the Hom criterion")
+    if pairing(theta_of_pair(almost), brick.dims) != 0:
+        raise TheoremViolationError("extracted brick is not on the stability wall")
+    return brick
+
+
+@memoised
+def _exchanged_brick(exchanged: Representation, relevant: tuple[Representation, ...]) -> Representation:
+    """The brick that the exchanged summand gives against the wall summands
+    ``relevant``, the ones with a nonzero map into it; the others add nothing
+    to the trace, so the answer is memoised on (summand, relevant summands).
 
     The generator of the semistable subcategory is that summand modulo the
     trace of the wall's module summands (the image of its right
     approximation by them); the brick is its indecomposable summand modulo
-    the images of its radical endomorphisms.  The result is validated as a
-    semistable brick on the wall's hyperplane before being returned.
+    the images of its radical endomorphisms.
     """
-    generator, _ = quotient_from_bases(exchanged,
-                                       _trace_bases(list(almost.m_parts), exchanged))
+    generator, _ = quotient_from_bases(exchanged, _trace_bases(list(relevant), exchanged))
     if generator.is_zero():
         raise TheoremViolationError("semistable generator is zero")
     summands = decompose(generator)
@@ -272,10 +285,6 @@ def _wall_brick(exchanged: Representation, almost: TauPair) -> Representation:
     brick = _brick_from_local_module(y)
     if hom_dim(brick, brick) != 1:
         raise TheoremViolationError("extracted module is not a brick")
-    if not is_semistable_hom(brick, almost):
-        raise TheoremViolationError("extracted brick fails the Hom criterion")
-    if pairing(theta_of_pair(almost), brick.dims) != 0:
-        raise TheoremViolationError("extracted brick is not on the stability wall")
     return brick
 
 
@@ -291,13 +300,15 @@ def _brick_from_local_module(y: Representation) -> Representation:
                                    for v, d in enumerate(y.dims)))[0]
 
 
-@dataclass
 class BrickSlate:
     """The bricks of a pair with the matrix identity data C = X D."""
-    pair: TauPair
-    bricks: tuple[Representation, ...]
-    x_matrix: linalg.Matrix
-    d_diagonal: tuple[int, ...]
+
+    def __init__(self, pair: TauPair, bricks: tuple[Representation, ...],
+                 x_matrix: linalg.Matrix, d_diagonal: tuple[int, ...]):
+        self.pair = pair
+        self.bricks = bricks
+        self.x_matrix = x_matrix
+        self.d_diagonal = d_diagonal
 
     def positive_slots(self) -> list[int]:
         return [r for r, d in enumerate(self.d_diagonal) if d == 1]
@@ -345,8 +356,9 @@ def slate_for_node(graph: ExchangeGraph, idx: int) -> BrickSlate:
 # ----------------------------------------------------------------------
 
 def fac_contains(pair: TauPair, x: Representation) -> bool:
-    """X lies in Fac M iff the trace of M in X is all of X."""
-    return _in_fac(list(pair.m_parts), x)
+    """X lies in Fac M iff the trace of M in X is all of X; decided on the
+    summands of M with a nonzero map into X."""
+    return _in_fac_relevant(pair.m_parts, x)
 
 
 def minimal_torsion_contains(bricks, x: Representation) -> bool:
@@ -361,7 +373,7 @@ def minimal_torsion_contains(bricks, x: Representation) -> bool:
     bricks = list(bricks)
     current = x
     while not current.is_zero():
-        relevant = tuple(b for b in bricks if any(s.shape[1] for s in _trace_spans(b, current)))
+        relevant = tuple(b for b in bricks if hom_dim(b, current))
         if not relevant:
             return False
         current = _torsion_step(current, relevant)
@@ -458,12 +470,35 @@ def self_extension_witness(brick: Representation, candidates) -> Representation 
 # ----------------------------------------------------------------------
 
 @memoised
+def _hom_mask(m: Representation, probes: tuple) -> int:
+    """Bit i is set when Hom(M, X) = 0 and <g^M, dim X> = 0 for the i-th
+    probe X: the Hom criterion's conditions on one module summand, memoised
+    per (summand, probe tuple)."""
+    return sum(1 << i for i, x in enumerate(probes)
+               if hom_dim(m, x) == 0 and ar_pairing(m, x) == 0)
+
+
+def _semistable_mask(almost: TauPair, probes: tuple) -> int:
+    """Bit i is set when the i-th probe is Hom-semistable for the almost pair,
+    as :func:`is_semistable_hom` decides it: the AND of its module summands'
+    masks and, per projective summand P(j), of the probes that vanish at j."""
+    mask = (1 << len(probes)) - 1
+    for m in almost.m_parts:
+        mask &= _hom_mask(m, probes)
+    for j in almost.p_parts:
+        mask &= sum(1 << i for i, x in enumerate(probes) if x.dims[j - 1] == 0)
+    return mask
+
+
+@memoised
 def _wall_oracle(almost: TauPair, probes: tuple, prime: int) -> tuple[tuple[int, ...], int]:
     """The dual oracle on one wall: the indices of the probes on which the
     Hom criterion of the almost pair and the brute-force King condition for
     its stability vector disagree, and the number of probes over the
-    oracle's budget.  Memoised per wall, never per (wall, probe)."""
+    oracle's budget.  Memoised per wall, never per (wall, probe); the Hom
+    side is read off :func:`_semistable_mask`."""
     theta = theta_of_pair(almost)
+    hom = _semistable_mask(almost, probes)
     mismatches = []
     skipped = 0
     for i, x in enumerate(probes):
@@ -472,7 +507,7 @@ def _wall_oracle(almost: TauPair, probes: tuple, prime: int) -> tuple[tuple[int,
         except BudgetExceeded:
             skipped += 1
             continue
-        if is_semistable_hom(x, almost) != brute:
+        if (hom >> i & 1) != brute:
             mismatches.append(i)
     return tuple(mismatches), skipped
 

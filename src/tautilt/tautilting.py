@@ -10,13 +10,13 @@ endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import BoundQuiver, memoised
 from .modules import (
     Representation,
-    _in_fac,
+    _in_fac_relevant,
     ar_pairing,
     canonical_sort_key,
     cokernel,
@@ -60,6 +60,14 @@ class TauPair:
                 raise ValueError(f"projective vertex {j} out of range")
         if len(set(self.p_parts)) != len(self.p_parts):
             raise ValueError("repeated projective summand")
+
+    @classmethod
+    def _canonical(cls, algebra: BoundQuiver, m_parts: tuple, p_parts: tuple) -> TauPair:
+        """The pair over parts already checked and in canonical order, such
+        as a pair's own parts with some left out; nothing is sorted again."""
+        pair = object.__new__(cls)
+        pair.algebra, pair.m_parts, pair.p_parts = algebra, m_parts, p_parts
+        return pair
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TauPair) and self.algebra is other.algebra
@@ -119,17 +127,32 @@ def pair_is_valid(pair: TauPair) -> bool:
     return all(hom_dim(m, x) == ar_pairing(m, x) for m in parts for x in parts)
 
 
+def _completes(almost: TauPair, new) -> bool:
+    """``pair_is_valid`` of the almost pair plus the summand ``new``: a module,
+    or a vertex j for the shifted projective P(j).  The almost pair is part
+    of a valid pair, so only the conditions that involve ``new`` are tested."""
+    if isinstance(new, int):  # Hom(P(j), X) has dimension dim X_j
+        return new not in almost.p_parts and not any(x.dims[new - 1] for x in almost.m_parts)
+    if any(new.dims[j - 1] for j in almost.p_parts):
+        return False
+    if any(is_isomorphic(new, x) for x in almost.m_parts):
+        return False
+    return hom_dim(new, new) == ar_pairing(new, new) and all(
+        hom_dim(new, x) == ar_pairing(new, x) and hom_dim(x, new) == ar_pairing(x, new)
+        for x in almost.m_parts)
+
+
 def remove_summand(pair: TauPair, r: int) -> TauPair:
     """Drop the summand in canonical slot r (0-based), yielding an almost pair."""
-    slots = pair.slots()
-    if not 0 <= r < len(slots):
+    if not 0 <= r < pair.n_summands:
         raise ValueError(f"slot {r} out of range")
-    kind, payload = slots[r]
-    if kind == "m":
-        m_parts = tuple(x for x in pair.m_parts if x is not payload)
-        return TauPair(pair.algebra, m_parts, pair.p_parts)
-    p_parts = tuple(j for j in pair.p_parts if j != payload)
-    return TauPair(pair.algebra, pair.m_parts, p_parts)
+    k = len(pair.m_parts)
+    if r < k:
+        return TauPair._canonical(pair.algebra, pair.m_parts[:r] + pair.m_parts[r + 1:],
+                                  pair.p_parts)
+    r -= k
+    return TauPair._canonical(pair.algebra, pair.m_parts,
+                              pair.p_parts[:r] + pair.p_parts[r + 1:])
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +222,20 @@ def positive_c_vectors(pair: TauPair) -> list[tuple[int, ...]]:
 def slot_mutates_down(pair: TauPair, r: int) -> bool:
     """True when exchanging slot r shrinks Fac M (the pair is the Fac-larger
     completion of the almost pair at r).  Projective slots always go up; a
-    module slot goes up exactly when its summand lies in Fac of the rest."""
+    module slot goes up exactly when its summand lies in Fac of the rest,
+    decided on the rest's summands with a nonzero map into it."""
     kind, payload = pair.slots()[r]
-    return kind == "m" and not _in_fac([x for x in pair.m_parts if x is not payload],
-                                       payload)
+    return kind == "m" and not _in_fac_relevant(
+        [x for x in pair.m_parts if x is not payload], payload)
+
+
+@memoised
+def _exchange_cokernel(x: Representation, relevant: tuple[Representation, ...]) -> Representation:
+    """The cokernel of the minimal left add(U)-approximation of X.  Only the
+    summands of U that receive a nonzero map from X enter the approximation,
+    so it is memoised on X and ``relevant``, those summands in canonical
+    order, however many exchanges share them."""
+    return cokernel(minimal_left_approximation(x, list(relevant)).map)[0]
 
 
 def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -> TauPair:
@@ -215,7 +248,9 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     The module parts of ``pair`` are handles of ``registry``, and so are
     those of the result: the cokernel's summand is replaced by its handle
     before the candidate is validated, and a new class is registered once
-    the candidate is valid.
+    the candidate is valid.  The almost pair is part of the valid ``pair``,
+    so a candidate is validated on the conditions that involve its new
+    summand only.
     """
     kind, payload = pair.slots()[r]
     if kind != "m":
@@ -223,9 +258,8 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     if not slot_mutates_down(pair, r):
         raise ValueError("slot mutates upward; mutate from the other endpoint")
     q = pair.algebra
-    rest = [x for x in pair.m_parts if x is not payload]
-    approx = minimal_left_approximation(payload, rest)
-    coker, _ = cokernel(approx.map)
+    almost = remove_summand(pair, r)
+    coker = _exchange_cokernel(payload, tuple(x for x in almost.m_parts if hom_dim(payload, x)))
     if not coker.is_zero():
         if coker.total_dim > max_dim:
             raise _DimLimit(coker.total_dim)
@@ -237,25 +271,17 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
         known = registry.find(new_summand)
         if known is not None:
             new_summand = registry.reps[known]
-        if not is_isomorphic(new_summand, payload):
-            candidate = TauPair(q, tuple(rest) + (new_summand,), pair.p_parts)
-            if pair_is_valid(candidate):
-                if known is None:
-                    registry.add(new_summand)
-                return candidate
+        if not is_isomorphic(new_summand, payload) and _completes(almost, new_summand):
+            if known is None:
+                registry.add(new_summand)
+            return TauPair(q, almost.m_parts + (new_summand,), almost.p_parts)
     # support shrinks: the slot becomes a shifted projective
-    candidates = []
-    for j in range(1, q.n + 1):
-        if j in pair.p_parts or any(x.dims[j - 1] for x in rest):
-            continue
-        candidate = TauPair(q, tuple(rest), pair.p_parts + (j,))
-        if pair_is_valid(candidate):
-            candidates.append(candidate)
+    candidates = [j for j in range(1, q.n + 1) if _completes(almost, j)]
     if len(candidates) != 1:
         raise EnumerationError(
             f"expected exactly one completion, found {len(candidates)} "
             f"for {pair.descriptor()} at slot {r}")
-    return candidates[0]
+    return TauPair(q, almost.m_parts, almost.p_parts + (candidates[0],))
 
 
 class _DimLimit(Exception):
@@ -305,8 +331,7 @@ class ModuleRegistry:
         return self.reps[self.add(rep) if idx is None else idx]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Exchange-graph edge oriented from the Fac-larger node."""
     src: int
     dst: int
@@ -314,7 +339,6 @@ class Edge:
     c_vector: tuple[int, ...]      # positive c-vector of the source at the slot
 
 
-@dataclass(eq=False)
 class ExchangeGraph:
     """Nodes and edges of the exchange graph, indexed once: each node by its
     pair, and each edge by the almost pair that its source minus its slot is
@@ -322,15 +346,17 @@ class ExchangeGraph:
     Node parts are registry handles, and a lookup maps a pair onto handles
     first.  Graphs compare and hash by identity, so a graph keys the memo
     of its per-node answers."""
-    algebra: BoundQuiver
-    nodes: list[TauPair]
-    edges: list[Edge]
-    complete: bool
-    registry: ModuleRegistry
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_dim: int = DEFAULT_MAX_DIM
 
-    def __post_init__(self) -> None:
+    def __init__(self, algebra: BoundQuiver, nodes: list[TauPair], edges: list[Edge],
+                 complete: bool, registry: ModuleRegistry,
+                 max_nodes: int = DEFAULT_MAX_NODES, max_dim: int = DEFAULT_MAX_DIM):
+        self.algebra = algebra
+        self.nodes = nodes
+        self.edges = edges
+        self.complete = complete
+        self.registry = registry
+        self.max_nodes = max_nodes
+        self.max_dim = max_dim
         self._node_of = {node: i for i, node in enumerate(self.nodes)}
         self._edge_of = {}
         self._degrees = [0] * len(self.nodes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modules import Representation
 from .stability import slate_for_node, submodule_dim_vectors
@@ -26,24 +26,21 @@ from .tautilting import (
 FAN_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Codimension-one stability space of a brick: the hyperplane normal to
     its dimension vector, cut by <theta, L> <= 0 over proper submodules L."""
     normal: tuple[int, ...]
     facets: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     pair_id: int
     pair: TauPair
     generators: tuple[tuple[int, ...], ...]      # columns of G
     wall_normals: tuple[tuple[int, ...], ...]    # columns of C (signed)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     algebra_fingerprint: str
     chambers: tuple[Chamber, ...]
     walls: tuple[Wall, ...]

@@ -7,6 +7,8 @@ and the one-vertex algebra.  Graphs are enumerated once per session.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from tautilt import enumerate_exchange_graph, parse_algebra
@@ -124,3 +126,17 @@ def a3_rel_graph(a3_rel):
 @pytest.fixture(scope="session")
 def corpus_graphs(corpus):
     return {name: enumerate_exchange_graph(q) for name, q in corpus.items()}
+
+
+@pytest.fixture(scope="session")
+def wide_graphs(corpus_graphs):
+    """The corpus graphs plus linear A5, preprojective A3 and the Kronecker
+    graph truncated at 12 nodes: the graphs the fast paths are checked on."""
+    root = Path(__file__).resolve().parents[1]
+    graphs = dict(corpus_graphs)
+    graphs["a5"] = enumerate_exchange_graph(
+        parse_algebra((root / "bench" / "workloads" / "a5.alg").read_text()))
+    graphs["preproj_a3"] = enumerate_exchange_graph(parse_algebra(PREPROJ_A3_TEXT))
+    graphs["kronecker12"] = enumerate_exchange_graph(
+        parse_algebra((root / "algebras" / "kronecker.alg").read_text()), 12)
+    return graphs

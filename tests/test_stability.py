@@ -15,6 +15,7 @@ from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra, stability
 from tautilt.algebra import memoised
 from tautilt.modules import (
+    _in_fac,
     cokernel,
     direct_sum,
     hom_basis,
@@ -47,7 +48,14 @@ from tautilt.stability import (
     verify_facm_theorem,
     verify_pair,
 )
-from tautilt.tautilting import TauPair, g_matrix, is_tau_rigid_pair, pair_is_valid, remove_summand
+from tautilt.tautilting import (
+    TauPair,
+    g_matrix,
+    is_tau_rigid_pair,
+    pair_is_valid,
+    remove_summand,
+    slot_mutates_down,
+)
 
 
 def node_by_desc(graph, desc):
@@ -629,10 +637,11 @@ def _wall_slots(graph, e):
     return almost, (src, e.slot), (dst, r)
 
 
-@pytest.mark.parametrize("text, walls", [(A3_REL_TEXT, 18), (PREPROJ_A3_TEXT, 36),
-                                         (A5_TEXT, 330)],
+@pytest.mark.parametrize("text, walls, keys", [(A3_REL_TEXT, 18, 9), (PREPROJ_A3_TEXT, 36, 30),
+                                               (A5_TEXT, 330, 57)],
                          ids=["a3_rel", "preproj_a3", "a5"])
-def test_each_wall_brick_computed_once(text, walls, monkeypatch):
+def test_each_wall_brick_computed_once(text, walls, keys, monkeypatch):
+    # one brick per (exchanged summand, wall summands with a map into it)
     computed = []
     local = stability._brick_from_local_module
     monkeypatch.setattr(stability, "_brick_from_local_module",
@@ -641,13 +650,34 @@ def test_each_wall_brick_computed_once(text, walls, monkeypatch):
     graph = enumerate_exchange_graph(q)
     slates = [slate_for_node(graph, idx) for idx in range(len(graph.nodes))]
     assert len(graph.edges) == walls
-    assert len(computed) == walls
+    assert len(computed) == keys
     for e in graph.edges:
         _, (src, r), (dst, s) = _wall_slots(graph, e)
         brick = brick_of_slot(src, r, graph)
         assert brick_of_slot(dst, s, graph) is brick
         assert slates[e.src].bricks[r] is slates[e.dst].bricks[s] is graph.registry.handle(brick)
-    assert len(computed) == walls
+    assert len(computed) == keys
+
+
+def test_masks_and_relevant_fac_match_their_reference_predicates(wide_graphs):
+    # the wall oracle's probe mask is is_semistable_hom probe by probe, and
+    # Fac decided on the Hom-relevant summands is _in_fac on all of them
+    for graph in wide_graphs.values():
+        if graph.complete:
+            for idx in range(len(graph.nodes)):  # registers the bricks, as verify does
+                slate_for_node(graph, idx)
+        probes = tuple(cli._probes_for(graph))
+        for pair in graph.nodes:
+            for x in probes:
+                assert fac_contains(pair, x) == _in_fac(list(pair.m_parts), x)
+            for r in range(pair.n_summands):
+                almost = remove_summand(pair, r)
+                mask = stability._semistable_mask(almost, probes)
+                assert [bool(mask >> i & 1) for i in range(len(probes))] == \
+                    [is_semistable_hom(x, almost) for x in probes]
+                if r < len(pair.m_parts):
+                    assert slot_mutates_down(pair, r) == \
+                        (not _in_fac(list(almost.m_parts), pair.m_parts[r]))
 
 
 def test_planted_oracle_error_marks_both_sides_of_its_wall(monkeypatch):
@@ -659,9 +689,10 @@ def test_planted_oracle_error_marks_both_sides_of_its_wall(monkeypatch):
     e = graph.edges[len(graph.edges) // 2]
     wall, (src, r), (dst, s) = _wall_slots(graph, e)
     planted = probes[-1]
-    honest = stability.is_semistable_hom
-    monkeypatch.setattr(stability, "is_semistable_hom",
-                        lambda x, rigid: honest(x, rigid) != (x is planted and rigid == wall))
+    honest = stability._semistable_mask
+    monkeypatch.setattr(stability, "_semistable_mask",
+                        # flip the bit of the last probe, the planted one
+                        lambda rigid, xs: honest(rigid, xs) ^ (1 << len(xs) - 1 if rigid == wall else 0))
     failing = {}
     for pair in graph.nodes:
         report = verify_pair(pair, graph, probes)

@@ -3,10 +3,11 @@
 import itertools
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import PREPROJ_A3_TEXT
+from conftest import A3_REL_TEXT, PREPROJ_A3_TEXT
 
 from tautilt import linalg, parse_algebra, tautilting
 from tautilt.modules import (
@@ -94,6 +95,20 @@ def test_remove_summand_point(point_algebra):
     pair = TauPair(point_algebra, (projective(point_algebra, 1),), ())
     almost = remove_summand(pair, 0)
     assert almost.n_summands == 0
+
+
+def test_remove_summand_equals_the_pair_built_from_its_parts(wide_graphs):
+    # remove_summand keeps the canonical order of the pair's parts unsorted
+    for graph in wide_graphs.values():
+        for pair in graph.nodes:
+            slots = pair.slots()
+            for r in range(pair.n_summands):
+                rest = slots[:r] + slots[r + 1:]
+                fresh = TauPair(graph.algebra, [x for k, x in rest if k == "m"][::-1],
+                                [j for k, j in rest if k == "p"][::-1])
+                almost = remove_summand(pair, r)
+                assert almost == fresh and hash(almost) == hash(fresh)
+                assert (almost.m_parts, almost.p_parts) == (fresh.m_parts, fresh.p_parts)
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +263,48 @@ def test_semibrick_lookup_keeps_the_callers_module_out_of_the_registry():
     slate_bricks = [b for i in range(len(graph.nodes))
                     for b in slate_for_node(graph, i).bricks]
     assert not any(b is copy for b in slate_bricks)
+
+
+def test_new_summand_validation_matches_pair_is_valid(wide_graphs):
+    # an almost pair is part of a valid pair, so testing the conditions that
+    # involve the new summand decides the candidate's validity
+    outcomes = set()
+    for graph in wide_graphs.values():
+        q = graph.algebra
+        for pair in graph.nodes:
+            for r in range(pair.n_summands):
+                almost = remove_summand(pair, r)
+                for x in graph.registry.reps:
+                    want = pair_is_valid(TauPair(q, almost.m_parts + (x,), almost.p_parts))
+                    assert tautilting._completes(almost, x) == want
+                    outcomes.add(want)
+                for j in range(1, q.n + 1):
+                    want = j not in almost.p_parts and pair_is_valid(
+                        TauPair(q, almost.m_parts, almost.p_parts + (j,)))
+                    assert tautilting._completes(almost, j) == want
+                    outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+A5_TEXT = (Path(__file__).resolve().parents[1] / "bench" / "workloads" / "a5.alg").read_text()
+
+
+@pytest.mark.parametrize("text, edges, keys", [(A3_REL_TEXT, 18, 11), (PREPROJ_A3_TEXT, 36, 30),
+                                               (A5_TEXT, 330, 129)],
+                         ids=["a3_rel", "preproj_a3", "a5"])
+def test_each_exchange_computed_once_per_class(text, edges, keys, monkeypatch):
+    # one approximation per (exchanged summand, rest's summands it maps to)
+    computed = []
+    approximate = tautilting.minimal_left_approximation
+    monkeypatch.setattr(tautilting, "minimal_left_approximation",
+                        lambda x, n: computed.append((x, tuple(n))) or approximate(x, n))
+    graph = enumerate_exchange_graph(parse_algebra(text))  # a fresh memo
+    assert graph.complete and len(graph.edges) == edges
+    assert len(computed) == len(set(computed)) == keys
+    for e in graph.edges:
+        src = graph.nodes[e.src]
+        x = src.m_parts[e.slot]
+        assert (x, tuple(y for y in src.m_parts if y is not x and hom_dim(x, y))) in computed
 
 
 def test_enumeration_registers_each_class_once(monkeypatch):
