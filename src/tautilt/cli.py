@@ -37,7 +37,6 @@ from .tautilting import (
     pair_to_json_dict,
     positive_c_vectors,
 )
-from .wallchamber import build_fan, emit_dot, emit_fan_json, emit_svg_stereographic
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -217,6 +216,8 @@ def cmd_verify(q, args) -> int:
 
 
 def cmd_fan(q, args) -> int:
+    # imported here and in cmd_graph, its only users, so the other commands never load it
+    from .wallchamber import build_fan, emit_fan_json, emit_svg_stereographic
     fmt = args.format or "json"
     if fmt == "svg" and q.n != 3:
         sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
@@ -240,6 +241,7 @@ def cmd_fan(q, args) -> int:
 
 
 def cmd_graph(q, args) -> int:
+    from .wallchamber import emit_dot
     graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
     try:
         dot = emit_dot(graph)

@@ -33,7 +33,7 @@ class Matrix:
 
     Only what the package uses: ``a[i, j]`` reads and writes, block reads
     ``a[r0:r1, c0:c1]``, ``@``, ``+``, ``-``, scalar ``*``, ``.T``, row-major
-    ``reshape``, ``copy``, ``tolist``, ``flat`` and ``size``; no broadcasting,
+    ``reshape``, ``tolist``, ``flat`` and ``size``; no broadcasting,
     list indexing or 1-d vectors.  Operations return new matrices; a write
     to a :func:`frozen` one raises ``ValueError``.
     """
@@ -111,20 +111,8 @@ class Matrix:
         flat = list(self.flat)
         return Matrix([flat[i * n:(i + 1) * n] for i in range(m)], n)
 
-    def copy(self) -> Matrix:
-        return Matrix(self.tolist(), self.shape[1])
-
     def tolist(self) -> list[list]:
         return [list(row) for row in self.rows]
-
-
-def mat(rows) -> Matrix:
-    """Build an exact matrix from a nested sequence of ints/Fractions/strings."""
-    data = [[exact(x) for x in row] for row in rows]
-    n_cols = len(data[0]) if data else 0
-    if any(len(row) != n_cols for row in data):
-        raise ValueError("ragged rows in matrix literal")
-    return Matrix(data, n_cols)
 
 
 def exact(x) -> int | Fraction:

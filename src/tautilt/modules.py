@@ -196,12 +196,6 @@ def zero_rep(q: BoundQuiver) -> Representation:
     return Representation(q, (0,) * q.n, {}, check=False)
 
 
-def simple(q: BoundQuiver, i: int) -> Representation:
-    dims = [0] * q.n
-    dims[i - 1] = 1
-    return Representation(q, dims, {}, check=False)
-
-
 @memoised
 def projective(q: BoundQuiver, i: int) -> Representation:
     """Indecomposable projective at vertex i, spanned by basis paths starting at i."""
@@ -386,7 +380,7 @@ def quotient_from_bases(ambient: Representation, bases) -> tuple[Representation,
 
 
 # ----------------------------------------------------------------------
-# radical, top, traces
+# radical spans and traces
 # ----------------------------------------------------------------------
 
 def _radical_spans(m: Representation) -> list[linalg.Matrix]:
@@ -394,16 +388,6 @@ def _radical_spans(m: Representation) -> list[linalg.Matrix]:
     q = m.algebra
     return [linalg.hstack([m.arrow_maps[a.name] for a in q.arrows if a.target - 1 == v], d)
             for v, d in enumerate(m.dims)]
-
-
-def radical(m: Representation) -> tuple[Representation, ModuleMap]:
-    """rad M: spanned vertexwise by the images of incoming arrow maps."""
-    return sub_from_bases(m, _radical_spans(m))
-
-
-def top(m: Representation) -> tuple[Representation, ModuleMap]:
-    """M / rad M with the projection; semisimple (all arrow maps vanish)."""
-    return quotient_from_bases(m, _radical_spans(m))
 
 
 def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleMap]:
@@ -866,40 +850,3 @@ def _is_isomorphic_symbolic(m: Representation, n: Representation) -> bool:
     return len(parts_m) == len(parts_n) and all(
         any(k == k2 and is_isomorphic(r, r2) for r2, k2 in parts_n)
         for r, k in parts_m)
-
-
-# ----------------------------------------------------------------------
-# module literals (tests and fixtures)
-# ----------------------------------------------------------------------
-
-def rep_from_literal(q: BoundQuiver, literal: dict) -> Representation:
-    """Build a representation from {"dims": [...], "arrows": {name: [[...]]}}.
-
-    Entries are ints or "p/q" strings; arrows may be omitted (zero map), and
-    degenerate matrices (a vertex space of dimension zero) may be given as
-    empty lists.
-    """
-    dims = literal["dims"]
-    maps = {}
-    for name, rows in literal.get("arrows", {}).items():
-        m = linalg.mat(rows)
-        if m.size == 0:
-            continue  # let the constructor supply the correctly shaped zero map
-        maps[name] = m
-    return Representation(q, dims, maps)
-
-
-def rep_to_literal(m: Representation) -> dict:
-    arrows = {}
-    for name, mm in m.arrow_maps.items():
-        if mm.size == 0:
-            continue
-        rows = []
-        for r in range(mm.shape[0]):
-            row = []
-            for c in range(mm.shape[1]):
-                x = mm[r, c]
-                row.append(x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
-            rows.append(row)
-        arrows[name] = rows
-    return {"dims": list(m.dims), "arrows": arrows}

@@ -63,15 +63,6 @@ def theta_of_pair(pair: TauPair) -> tuple[int, ...]:
     return tuple(sum(g[i] for g in vectors) for i in range(pair.algebra.n))
 
 
-def theta_of_slot(pair: TauPair, r: int) -> tuple[int, ...]:
-    """Stability vector of the almost pair obtained by dropping slot r: the
-    pair's vector minus the signed g-vector of slot r."""
-    vectors = signed_g_vectors(pair)
-    if not 0 <= r < len(vectors):
-        raise ValueError(f"slot {r} out of range")
-    return tuple(t - g for t, g in zip(theta_of_pair(pair), vectors[r]))
-
-
 def pairing(theta, dims) -> int:
     """<theta, dims>."""
     return sum(map(operator.mul, theta, dims))

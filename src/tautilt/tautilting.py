@@ -112,25 +112,11 @@ def is_tau_rigid_pair(m: Representation, p: Representation) -> bool:
     return True
 
 
-def pair_is_valid(pair: TauPair) -> bool:
-    """Validity of a TauPair: basic, rigid, and Hom(P, M) = 0."""
-    parts = pair.m_parts
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if is_isomorphic(parts[i], parts[j]):
-                return False
-    for rep in parts:
-        for j in pair.p_parts:
-            if rep.dims[j - 1] != 0:  # Hom(P(j), X) has dimension dim X_j
-                return False
-    # dim Hom(X, tau M) = dim Hom(M, X) - <g^M, dim X>
-    return all(hom_dim(m, x) == ar_pairing(m, x) for m in parts for x in parts)
-
-
 def _completes(almost: TauPair, new) -> bool:
-    """``pair_is_valid`` of the almost pair plus the summand ``new``: a module,
-    or a vertex j for the shifted projective P(j).  The almost pair is part
-    of a valid pair, so only the conditions that involve ``new`` are tested."""
+    """Validity of the almost pair plus the summand ``new`` (a module, or a
+    vertex j for the shifted projective P(j)): basic, rigid, and Hom(P, M) = 0.
+    The almost pair is part of a valid pair, so only the conditions that
+    involve ``new`` are tested."""
     if isinstance(new, int):  # Hom(P(j), X) has dimension dim X_j
         return new not in almost.p_parts and not any(x.dims[new - 1] for x in almost.m_parts)
     if any(new.dims[j - 1] for j in almost.p_parts):

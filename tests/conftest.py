@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tautilt import enumerate_exchange_graph, parse_algebra
+from tautilt import parse_algebra
+from tautilt.tautilting import enumerate_exchange_graph
 
 A3_REL_TEXT = """\
 vertices 3

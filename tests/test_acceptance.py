@@ -29,7 +29,6 @@ from tautilt.stability import (
     self_extension_witness,
     slate_for_node,
     theta_of_pair,
-    theta_of_slot,
     verify_facm_theorem,
 )
 from tautilt.tautilting import (
@@ -243,7 +242,7 @@ def test_criterion_6_dual_oracle(corpus_graphs):
         for pair in graph.nodes:
             for r in range(graph.algebra.n):
                 almost = remove_summand(pair, r)
-                theta = theta_of_slot(pair, r)
+                theta = theta_of_pair(almost)
                 for x in graph.registry.reps:
                     assert is_semistable_hom(x, almost) == \
                         is_semistable_bruteforce(x, theta, 2), \

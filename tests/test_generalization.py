@@ -7,8 +7,9 @@ count) with 12 indecomposables (its positive roots).
 
 import pytest
 
-from tautilt import parse_algebra, enumerate_exchange_graph
+from tautilt import parse_algebra
 from tautilt.stability import slate_for_node, verify_pair
+from tautilt.tautilting import enumerate_exchange_graph
 
 A4_TEXT = """\
 vertices 4

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, A3_TEXT, CORPUS_TEXTS, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra
+from tautilt import cli, linalg, modules, parse_algebra
 from tautilt.modules import (
     DecompositionError,
     ModuleMap,
@@ -48,20 +48,17 @@ from tautilt.modules import (
     minimal_right_approximation,
     projective,
     quotient_from_bases,
-    radical,
-    rep_from_literal,
-    rep_to_literal,
-    simple,
     sub_from_bases,
     tau,
-    top,
     trace,
     zero_map,
     zero_rep,
 )
 from tautilt.stability import minimal_torsion_contains, slate_for_node, verify_pair
-from tautilt.tautilting import signed_g_vectors
+from tautilt.tautilting import enumerate_exchange_graph, signed_g_vectors
 from tautilt.wallchamber import build_fan
+
+from reference import mat, radical, rep_from_literal, rep_to_literal, simple, top
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -233,8 +230,10 @@ def test_decompose_quartic_residue_field_is_refused():
 _NO_SYMPY_DECOMPOSE = """\
 import json, sys
 sys.modules["sympy"] = None
+sys.path.insert(0, sys.argv[3])
 from tautilt import parse_algebra
-from tautilt.modules import decompose, direct_sum, is_isomorphic, projective, rep_from_literal, simple
+from tautilt.modules import decompose, direct_sum, is_isomorphic, projective
+from reference import rep_from_literal, simple
 a3 = parse_algebra(sys.argv[1])
 kron = parse_algebra(sys.argv[2])
 def dims(m):
@@ -258,7 +257,8 @@ print(json.dumps({
 
 
 def test_decompose_without_sympy_subprocess():
-    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_DECOMPOSE, A3_REL_TEXT, KRONECKER_TEXT],
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_DECOMPOSE, A3_REL_TEXT, KRONECKER_TEXT,
+                          str(Path(__file__).resolve().parent)],
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {
         "projectives": [[[0, 0, 1], 1], [[0, 1, 1], 1], [[1, 1, 0], 1]],
@@ -328,7 +328,7 @@ def _base_changed(m, rng):
     bases = []
     for d in m.dims:
         while True:
-            p = linalg.mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+            p = mat([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
             if d == 0 or linalg.det(p) != 0:
                 break
         bases.append(p)
@@ -1009,7 +1009,7 @@ def test_isomorphic_unequal_values_stay_distinct():
 
 
 def test_checked_hit_on_relation_violation_still_raises(loop_algebra):
-    maps = {"a": linalg.mat([[1]]), "b": linalg.mat([[1]])}
+    maps = {"a": mat([[1]]), "b": mat([[1]])}
     unchecked = Representation(loop_algebra, (1, 1), maps, check=False)
     assert Representation(loop_algebra, (1, 1), maps, check=False) is unchecked
     with pytest.raises(ValueError):
@@ -1020,11 +1020,11 @@ def test_checked_hit_on_relation_violation_still_raises(loop_algebra):
 
 def test_interned_arrow_maps_are_not_the_callers():
     q = parse_algebra(A3_REL_TEXT)
-    a = linalg.mat([[1]])
+    a = mat([[1]])
     rep = Representation(q, (1, 1, 0), {"a": a})
     a[0, 0] = 5  # the caller keeps a writeable matrix of its own
     assert rep.arrow_maps["a"][0, 0] == 1
-    assert Representation(q, (1, 1, 0), {"a": linalg.mat([[1]])}) is rep
+    assert Representation(q, (1, 1, 0), {"a": mat([[1]])}) is rep
 
 
 @pytest.mark.parametrize("text", [A3_REL_TEXT, PREPROJ_A3_TEXT],

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
-from tautilt import cli, enumerate_exchange_graph, linalg, modules, parse_algebra, stability
+from tautilt import cli, linalg, modules, parse_algebra, stability
 from tautilt.algebra import memoised
 from tautilt.modules import (
     _in_fac,
@@ -22,8 +22,6 @@ from tautilt.modules import (
     hom_dim,
     is_isomorphic,
     projective,
-    rep_from_literal,
-    simple,
     sub_from_bases,
     tau,
     trace,
@@ -44,18 +42,19 @@ from tautilt.stability import (
     slate_for_node,
     submodule_dim_vectors,
     theta_of_pair,
-    theta_of_slot,
     verify_facm_theorem,
     verify_pair,
 )
 from tautilt.tautilting import (
     TauPair,
+    enumerate_exchange_graph,
     g_matrix,
     is_tau_rigid_pair,
-    pair_is_valid,
     remove_summand,
     slot_mutates_down,
 )
+
+from reference import pair_is_valid, rep_from_literal, simple
 
 
 def node_by_desc(graph, desc):
@@ -72,7 +71,7 @@ def node_by_desc(graph, desc):
 def test_theta_of_pair_golden(a3_rel_graph):
     start = a3_rel_graph.nodes[0]
     assert theta_of_pair(start) == (1, 1, 1)
-    assert theta_of_slot(start, 2) == (1, 1, 0)
+    assert theta_of_pair(remove_summand(start, 2)) == (1, 1, 0)
     last = node_by_desc(a3_rel_graph, "(0 | P1 P2 P3)")
     assert theta_of_pair(last) == (-1, -1, -1)
 
@@ -92,16 +91,15 @@ def test_theta_matches_g_matrix(text):
         g = g_matrix(pair).tolist()
         assert theta_of_pair(pair) == tuple(sum(row) for row in g)
         for r in range(pair.n_summands):
-            assert theta_of_slot(pair, r) == tuple(sum(row) - row[r] for row in g)
-            assert theta_of_slot(pair, r) == theta_of_pair(remove_summand(pair, r))
+            assert theta_of_pair(remove_summand(pair, r)) == tuple(sum(row) - row[r] for row in g)
 
 
 def test_theta_point(point_algebra):
     pair = TauPair(point_algebra, (projective(point_algebra, 1),), ())
-    assert theta_of_slot(pair, 0) == (Fraction(0),)
+    assert theta_of_pair(remove_summand(pair, 0)) == (Fraction(0),)
     for r in (-1, 1):
         with pytest.raises(ValueError):
-            theta_of_slot(pair, r)
+            remove_summand(pair, r)
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +336,7 @@ def test_dual_oracle_agreement(corpus_graphs):
         for pair in graph.nodes:
             for r in range(graph.algebra.n):
                 almost = remove_summand(pair, r)
-                theta = theta_of_slot(pair, r)
+                theta = theta_of_pair(almost)
                 for x in graph.registry.reps:
                     assert is_semistable_hom(x, almost) == \
                         is_semistable_bruteforce(x, theta, 2)
@@ -382,7 +380,7 @@ def test_bricks_are_stable_bruteforce(a3_rel_graph):
     for idx, pair in enumerate(a3_rel_graph.nodes):
         slate = slate_for_node(a3_rel_graph, idx)
         for r, brick in enumerate(slate.bricks):
-            theta = theta_of_slot(pair, r)
+            theta = theta_of_pair(remove_summand(pair, r))
             assert is_stable_bruteforce(brick, theta, 2)
 
 

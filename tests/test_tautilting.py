@@ -16,9 +16,6 @@ from tautilt.modules import (
     hom_dim,
     is_isomorphic,
     projective,
-    rep_from_literal,
-    rep_to_literal,
-    simple,
     tau,
     zero_rep,
 )
@@ -32,12 +29,13 @@ from tautilt.tautilting import (
     enumerate_exchange_graph,
     g_matrix,
     is_tau_rigid_pair,
-    pair_is_valid,
     pair_to_json_dict,
     remove_summand,
     sign_coherence,
     slot_mutates_down,
 )
+
+from reference import mat, pair_is_valid, rep_from_literal, rep_to_literal, simple
 
 
 def as_ints(m):
@@ -513,9 +511,9 @@ def test_graph_spellings_share_one_memo_entry():
 def test_sign_coherence_classification():
     ident = linalg.eye(2)
     assert sign_coherence(ident) == ["positive", "positive"]
-    neg = linalg.mat([[-1, 0], [0, -1]])
+    neg = mat([[-1, 0], [0, -1]])
     assert sign_coherence(neg) == ["negative", "negative"]
-    mixed = linalg.mat([[1, 0], [-1, 1]])
+    mixed = mat([[1, 0], [-1, 1]])
     assert sign_coherence(mixed) == ["mixed", "positive"]
 
 

@@ -9,7 +9,7 @@ from tautilt.stability import (
     brick_of_slot,
     is_stable_bruteforce,
     slate_for_node,
-    theta_of_slot,
+    theta_of_pair,
 )
 from tautilt.tautilting import (
     EnumerationError,
@@ -22,6 +22,8 @@ from tautilt.tautilting import (
 )
 from tautilt.wallchamber import wall_of_brick
 
+from reference import simple
+
 
 def test_brick_uniqueness_among_registry(corpus_graphs):
     # per slot, exactly one registry brick is strictly stable for the slot
@@ -33,7 +35,7 @@ def test_brick_uniqueness_among_registry(corpus_graphs):
         for idx, pair in enumerate(graph.nodes):
             slate = slate_for_node(graph, idx)
             for r in range(graph.algebra.n):
-                theta = theta_of_slot(pair, r)
+                theta = theta_of_pair(remove_summand(pair, r))
                 stable = [b for b in registry_bricks
                           if is_stable_bruteforce(b, theta, 2)]
                 assert len(stable) == 1, (name, pair.descriptor(), r)
@@ -82,7 +84,7 @@ def test_kronecker_preprojective_g_vectors():
 
 
 def test_wall_budget_error(a3_rel):
-    from tautilt.modules import direct_sum, simple
+    from tautilt.modules import direct_sum
     big = direct_sum(a3_rel, [simple(a3_rel, 1)] * 15)
     with pytest.raises(BudgetExceeded):
         wall_of_brick(big, 2)

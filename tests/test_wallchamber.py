@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tautilt.modules import projective, simple
+from tautilt.modules import projective
 from tautilt.stability import slate_for_node
 from tautilt.wallchamber import (
     build_fan,
@@ -17,6 +17,8 @@ from tautilt.wallchamber import (
     shared_wall,
     wall_of_brick,
 )
+
+from reference import simple
 
 
 def node_by_desc(graph, desc):
