@@ -3,7 +3,9 @@
 An algebra is presented by a quiver and a list of admissible relations.  Paths
 compose left to right: ``a*b`` means "traverse a, then b".  The path basis is
 the set of rewriting-irreducible paths; relations act as rewriting rules for
-their leading path under the length-then-name lexicographic path order.
+their leading path under the length-then-name lexicographic path order.  A
+path is rewritten at its leftmost match by the rule with the longest left
+side, then the smaller name, through one ``_rewrite`` step.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ PATH_CAP = 60
 # is far beyond exact enumeration; without it, irreducible paths that double
 # with each length (two free loops) would be listed until memory runs out
 BASIS_CAP = 10_000
+
+
+def _add_into(out: Combo, terms: Combo, scale) -> None:
+    """Add ``scale`` times ``terms`` into ``out``, dropping zero coefficients."""
+    for p, c in terms.items():
+        c = out.get(p, 0) + scale * c
+        if c:
+            out[p] = c
+        else:
+            out.pop(p, None)
 
 
 class AlgebraError(ValueError):
@@ -165,22 +177,19 @@ class BoundQuiver:
             if guard > 1000:
                 raise AlgebraError("relation normalisation does not stabilise")
             combo = pending.pop()
-            combo = {p: c for p, c in combo.items() if c != 0}
-            if not combo:
-                continue
             lead = max(combo, key=self._path_key)
             c_lead = combo[lead]
             rhs: Combo = {p: -c / c_lead for p, c in combo.items() if p != lead}
             if lead[1] in rules:
                 # two rules for one leading path: their difference is a new relation
                 diff: Combo = dict(rules[lead[1]])
-                for p, c in rhs.items():
-                    diff[p] = diff.get(p, Fraction(0)) - c
-                diff = {p: c for p, c in diff.items() if c != 0}
+                _add_into(diff, rhs, -1)
                 if diff:
                     pending.append(diff)
                 continue
             rules[lead[1]] = rhs
+        # longest left side first, then by name: the order _reduce_once tries them
+        rules = {lhs: rules[lhs] for lhs in sorted(rules, key=lambda t: (-len(t), t))}
         # normalise every right-hand side against the full rule set
         changed = True
         rounds = 0
@@ -189,27 +198,26 @@ class BoundQuiver:
             if rounds > 1000:
                 raise AlgebraError("rule inter-reduction does not stabilise")
             changed = False
-            for lhs in list(rules):
+            for lhs in rules:
                 reduced = self._normalise_combo(rules[lhs], rules)
                 if reduced != rules[lhs]:
                     rules[lhs] = reduced
                     changed = True
         return rules
 
+    def _rewrite(self, p: Path, start: int, lhs: tuple[str, ...], rules) -> Combo:
+        """Replace ``lhs`` at position ``start`` of ``p`` by its rule's right side."""
+        source, names = p
+        head, tail = names[:start], names[start + len(lhs):]
+        return {(source, head + rp[1] + tail): c for rp, c in rules[lhs].items()}
+
     def _reduce_once(self, p: Path, rules) -> Combo | None:
         """Apply one rule at the leftmost matching position, or None if irreducible."""
-        source, names = p
-        order = sorted(rules, key=lambda t: (-len(t), t))
+        names = p[1]
         for start in range(len(names)):
-            for lhs in order:
-                k = len(lhs)
-                if names[start:start + k] == lhs:
-                    out: Combo = {}
-                    for rp, c in rules[lhs].items():
-                        new_names = names[:start] + rp[1] + names[start + k:]
-                        q = (source, new_names)
-                        out[q] = out.get(q, Fraction(0)) + c
-                    return out
+            for lhs in rules:
+                if names[start:start + len(lhs)] == lhs:
+                    return self._rewrite(p, start, lhs, rules)
         return None
 
     def _normalise_combo(self, combo: Combo, rules=None) -> Combo:
@@ -224,18 +232,11 @@ class BoundQuiver:
                 raise AlgebraError("path normalisation does not terminate")
             p = max(work, key=self._path_key)
             c = work.pop(p)
-            if c == 0:
-                continue
             step = self._reduce_once(p, rules)
             if step is None:
-                result[p] = result.get(p, Fraction(0)) + c
-                if result[p] == 0:
-                    del result[p]
+                result[p] = c  # work only gains paths below p, so p leaves it once
             else:
-                for q, d in step.items():
-                    work[q] = work.get(q, Fraction(0)) + c * d
-                    if work[q] == 0:
-                        del work[q]
+                _add_into(work, step, c)
         return result
 
     def normal_form(self, p: Path) -> Combo:
@@ -259,33 +260,15 @@ class BoundQuiver:
                             self._assert_joinable(u, u, v, start)
 
     def _assert_joinable(self, word: tuple[str, ...], u, v, v_start: int) -> None:
-        src = self._word_source(word)
-        if src is None:
+        p = (self.arrow_by_name[word[0]].source, word)
+        if not self.path_is_valid(p):
             return
-        via_u: Combo = {}
-        for rp, c in self._rules[u].items():
-            q = (src, rp[1] + word[len(u):])
-            via_u[q] = via_u.get(q, Fraction(0)) + c
-        via_v: Combo = {}
-        for rp, c in self._rules[v].items():
-            q = (src, word[:v_start] + rp[1] + word[v_start + len(v):])
-            via_v[q] = via_v.get(q, Fraction(0)) + c
-        if self._normalise_combo(via_u) != self._normalise_combo(via_v):
+        rules = self._rules
+        if (self._normalise_combo(self._rewrite(p, 0, u, rules))
+                != self._normalise_combo(self._rewrite(p, v_start, v, rules))):
             raise AlgebraError(
                 "relations are not confluent under the fixed path order; "
                 "refusing ambiguous presentation")
-
-    def _word_source(self, word: tuple[str, ...]) -> int | None:
-        if not word:
-            return None
-        at = self.arrow_by_name[word[0]].source
-        start = at
-        for name in word:
-            a = self.arrow_by_name.get(name)
-            if a is None or a.source != at:
-                return None
-            at = a.target
-        return start
 
     # ------------------------------------------------------------------
     # basis
@@ -360,9 +343,9 @@ class BoundQuiver:
         out: Combo = {}
         for p, c in left.items():
             for q, d in right.items():
-                for r, e in self.compose(p, q).items():
-                    out[r] = out.get(r, Fraction(0)) + c * d * e
-        return {p: c for p, c in out.items() if c != 0}
+                if terms := self.compose(p, q):
+                    _add_into(out, terms, c * d)
+        return out
 
     # ------------------------------------------------------------------
     # io

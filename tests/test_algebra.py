@@ -1,11 +1,29 @@
 """Parsing, path bases, rewriting and admissibility checks."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from tautilt import AlgebraError, parse_algebra
 from tautilt.modules import projective
 
-from conftest import A3_REL_TEXT, LOOP_TEXT
+from conftest import A3_REL_TEXT, LOOP_TEXT, PREPROJ_A3_TEXT
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+# the preprojective algebra of A3 as textbooks present it, without the
+# critical-pair consequences b*a*c and d*b*a
+PREPROJ_A3_TEXTBOOK = """\
+vertices 3
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+arrow c: 2 -> 3
+arrow d: 3 -> 2
+relation a*b
+relation d*c
+relation b*a + -1 c*d
+"""
 
 
 def test_a3_rel_basis(a3_rel):
@@ -143,3 +161,28 @@ def test_normal_form_multiplication(a3_rel):
 def test_fingerprint_stability(a3_rel):
     assert a3_rel.fingerprint() == parse_algebra(A3_REL_TEXT).fingerprint()
     assert a3_rel.fingerprint() != parse_algebra(LOOP_TEXT).fingerprint()
+
+
+def test_non_confluent_presentation_refused():
+    with pytest.raises(AlgebraError) as exc:
+        parse_algebra(PREPROJ_A3_TEXTBOOK)
+    assert "not confluent" in str(exc.value)
+    # the same ideal with its critical-pair consequences written out parses
+    completed = parse_algebra((WORKLOADS / "preproj_a3.alg").read_text())
+    assert completed.dimension == 10
+
+
+def test_composition_is_associative(corpus):
+    # products of three basis paths rewrite at every position
+    preproj = parse_algebra(PREPROJ_A3_TEXT)
+    for q in [*corpus.values(), preproj]:
+        for p, m, r in itertools.product(q.path_basis, repeat=3):
+            assert (q.compose_combo(q.compose(p, m), {r: 1})
+                    == q.compose_combo({p: 1}, q.compose(m, r)))
+    # b*a = c*d in preprojective A3, so (b - c)(a + d) cancels to zero
+    a, b, c, d = ((arrow.source, (arrow.name,)) for arrow in preproj.arrows)
+    ba = preproj.compose(b, a)
+    assert len(ba) == 1 and preproj.compose(c, d) == ba
+    assert preproj.compose_combo({b: 1, c: -1}, {a: 1, d: 1}) == {}
+    doubled = preproj.compose_combo({b: 1, c: 1}, {a: 1, d: 1})
+    assert doubled == {p: 2 * x for p, x in ba.items()}
