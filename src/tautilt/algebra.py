@@ -51,30 +51,34 @@ class Arrow(NamedTuple):
 
 
 def memoised(fn):
-    """Memoise ``fn`` in the ``_memo`` dict of the algebra of its first
-    argument (that argument itself when it is a :class:`BoundQuiver`, else
-    its ``algebra``).
+    """Memoise ``fn`` in its own table, ``_memo[fn]``, of the ``.algebra`` of
+    its first argument (a :class:`BoundQuiver` is its own algebra), keyed by
+    the call's argument tuple; :func:`memo_sizes` reads the table sizes.
 
-    The key is ``(fn, *args)``.  Memoised functions take their arguments
-    positionally and have no defaults, so each call has one spelling and
-    one entry; a keyword call raises ``TypeError``.  A call that raises
-    stores nothing.  Arguments must be hashable, and equal arguments must
-    mean equal answers: interned representations and exchange graphs key
-    by identity, tau-tilting pairs by their parts.
+    Memoised functions take their arguments positionally and have no
+    defaults, so each call has one spelling and one entry; a keyword call
+    raises ``TypeError``.  A call that raises stores nothing.  Arguments must
+    be hashable, and equal arguments must mean equal answers: interned
+    representations and exchange graphs key by identity, tau-tilting pairs by
+    their parts.
     """
     @functools.wraps(fn)
     def wrapper(*args):
-        first = args[0]
-        memo = (first if isinstance(first, BoundQuiver) else first.algebra)._memo
-        key = (fn, *args)
+        memo = args[0].algebra._memo
         try:
-            return memo[key]
+            return memo[fn][args]
         except KeyError:
             pass
+        answer = fn(*args)
         # setdefault: a thread that lost a race adopts the winner's answer
-        return memo.setdefault(key, fn(*args))
+        return memo.setdefault(fn, {}).setdefault(args, answer)
 
     return wrapper
+
+
+def memo_sizes(q: BoundQuiver) -> dict[str, int]:
+    """The number of memoised answers over ``q`` per ``module.qualname``."""
+    return {f"{fn.__module__}.{fn.__qualname__}": len(table) for fn, table in q._memo.items()}
 
 
 class BoundQuiver:
@@ -83,7 +87,7 @@ class BoundQuiver:
     Instances are immutable after construction.  The only mutable state is
     ``_interned`` and ``_memo``, both append-only stores of pure results, so
     sharing across threads or reusing one instance for many computations is
-    safe.
+    safe.  ``_memo`` holds one table per :func:`memoised` function.
     """
 
     def __init__(self, n_vertices: int, arrows: list[Arrow],
@@ -113,9 +117,10 @@ class BoundQuiver:
         # (dims plus every arrow-matrix entry): building an equal value
         # returns the same object, so a representation object names a value
         self._interned: dict = {}
-        # every @memoised answer over this algebra, keyed by (function,
-        # *arguments); interned modules key by identity, hence by value
+        # every @memoised answer over this algebra: one table per function,
+        # keyed by the arguments; interned modules key by identity, hence by value
         self._memo: dict = {}
+        self.algebra = self  # where a memoised function's first argument finds _memo
 
     # ------------------------------------------------------------------
     # paths
@@ -156,6 +161,9 @@ class BoundQuiver:
                 raise AlgebraError("empty relation")
             ends = set()
             for p, c in combo.items():
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise AlgebraError(f"relation coefficient {c!r} is not an int or Fraction")
+                combo[p] = Fraction(c)  # a new value, not a new key: safe mid-iteration
                 if not self.path_is_valid(p):
                     raise AlgebraError(f"relation uses invalid path {self.path_str(p)}")
                 if len(p[1]) < 2:

@@ -32,11 +32,12 @@ class Representation:
 
     ``dims`` is the dimension vector (1-indexed vertices stored 0-indexed);
     ``arrow_maps[name]`` has shape (dim target, dim source) and acts along the
-    arrow.  Instances are immutable and interned by value: building a
-    representation whose dims and arrow matrices equal those of one already
-    built over the same algebra returns that object, so equal values are the
-    same object and every memo, keyed by the object itself, serves rebuilt
-    modules.
+    arrow; an omitted arrow acts by zero, and a map under a name the algebra
+    lacks raises ``ValueError``.  Instances are immutable and interned by
+    value: building a representation whose dims and arrow matrices equal those
+    of one already built over the same algebra returns that object, so equal
+    values are the same object and every memo, keyed by the object itself,
+    serves rebuilt modules.
     Isomorphic but unequal values stay distinct objects.  ``check=True``
     verifies the relations on every call, a hit included.
     """
@@ -48,6 +49,7 @@ class Representation:
         if len(dims) != algebra.n or any(d < 0 for d in dims):
             raise ValueError("bad dimension vector")
         maps = {}
+        matched = 0
         for a in algebra.arrows:
             shape = (dims[a.target - 1], dims[a.source - 1])
             m = arrow_maps.get(a.name)
@@ -55,7 +57,11 @@ class Representation:
                 m = linalg.zeros(*shape)
             elif m.shape != shape:
                 raise ValueError(f"arrow {a.name}: matrix shape {m.shape} does not match dims")
+            else:
+                matched += 1
             maps[a.name] = m
+        if matched != len(arrow_maps):
+            raise ValueError(f"no arrows named {sorted(set(arrow_maps) - maps.keys())}")
         # the exact value; shapes follow from dims, so the entries concatenate
         key = (dims, *(x for m in maps.values() for x in m.flat))
         rep = algebra._interned.get(key)

@@ -191,27 +191,12 @@ def _enumerate_submodule_dims(x: Representation, p: int) -> frozenset[tuple[int,
     return frozenset(tuple(map(len, s)) for s in subs)
 
 
-def _king_condition(x: Representation, theta, p: int, strict: bool) -> bool:
-    """King's condition checked literally: <theta, dim X> = 0 and
-    <theta, dim L> <= 0 (< 0 when strict) over the enumerated proper nonzero
-    submodules L.  The enumeration runs only once the equation holds."""
+def is_semistable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
+    """King's condition checked literally: <theta, dim X> = 0, and only then
+    <theta, dim L> <= 0 over the enumerated submodules L."""
     if pairing(theta, x.dims) != 0:
         return False
-    zero = (0,) * x.algebra.n
-    for d in submodule_dim_vectors(x, p):
-        if d not in (zero, x.dims):
-            value = pairing(theta, d)
-            if value > 0 or (strict and value == 0):
-                return False
-    return True
-
-
-def is_semistable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
-    return _king_condition(x, theta, p, False)
-
-
-def is_stable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
-    return not x.is_zero() and _king_condition(x, theta, p, True)
+    return all(pairing(theta, d) <= 0 for d in submodule_dim_vectors(x, p))
 
 
 # ----------------------------------------------------------------------
@@ -413,14 +398,13 @@ def verify_facm_theorem(slate: BrickSlate, probes) -> dict:
 def semibrick_to_pair(bricks, graph: ExchangeGraph):
     """The unique node whose positive bricks match the given semibrick, or
     None when the generated torsion class is not among the enumerated ones."""
-    for b in bricks:
+    blist = list(bricks)
+    for b in blist:
         if hom_dim(b, b) != 1:
             raise ValueError("input contains a non-brick")
-    blist = list(bricks)
-    for i in range(len(blist)):
-        for j in range(len(blist)):
-            if i != j and hom_dim(blist[i], blist[j]) != 0:
-                raise ValueError("input bricks are not pairwise Hom-orthogonal")
+    for a, b in itertools.permutations(blist, 2):
+        if hom_dim(a, b) != 0:
+            raise ValueError("input bricks are not pairwise Hom-orthogonal")
     if not graph.complete:
         raise EnumerationError("exchange graph is truncated; matching is unreliable")
     # the slates register every brick label, so the inputs need only lookups;

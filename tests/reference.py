@@ -1,7 +1,8 @@
 """Fixtures and reference definitions that only the tests use.
 
 Module literals (``{"dims": [...], "arrows": {name: [[...]]}}`` with int or
-``"p/q"`` entries), matrix literals, simple modules, radical and top, and
+``"p/q"`` entries), matrix literals, simple modules, radical and top, the
+brute-force stability decider ``is_stable_bruteforce``, and
 ``pair_is_valid``: the definition of a valid tau-tilting pair (Adachi–Iyama–
 Reiten, *τ-tilting theory*, 2014), which the engine's ``_completes`` must
 agree with.  The engine never imports this module.
@@ -21,6 +22,7 @@ from tautilt.modules import (
     quotient_from_bases,
     sub_from_bases,
 )
+from tautilt.stability import pairing, submodule_dim_vectors
 from tautilt.tautilting import TauPair
 
 
@@ -95,3 +97,13 @@ def pair_is_valid(pair: TauPair) -> bool:
                 return False
     # dim Hom(X, tau M) = dim Hom(M, X) - <g^M, dim X>
     return all(hom_dim(m, x) == ar_pairing(m, x) for m in parts for x in parts)
+
+
+def is_stable_bruteforce(x: Representation, theta, p: int = 2) -> bool:
+    """King's strict condition checked literally: X is nonzero,
+    <theta, dim X> = 0 and <theta, dim L> < 0 for every proper nonzero
+    submodule L enumerated over GF(p)."""
+    if x.is_zero() or pairing(theta, x.dims) != 0:
+        return False
+    ends = ((0,) * len(x.dims), x.dims)
+    return all(pairing(theta, d) < 0 for d in submodule_dim_vectors(x, p) if d not in ends)

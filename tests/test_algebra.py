@@ -1,12 +1,15 @@
 """Parsing, path bases, rewriting and admissibility checks."""
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tautilt import AlgebraError, parse_algebra
-from tautilt.modules import projective
+from tautilt import AlgebraError, BoundQuiver, parse_algebra
+from tautilt.algebra import Arrow, memo_sizes, memoised
+from tautilt.modules import hom_basis, projective
+from tautilt.tautilting import TauPair, g_matrix
 
 from conftest import A3_REL_TEXT, LOOP_TEXT, PREPROJ_A3_TEXT
 
@@ -186,3 +189,77 @@ def test_composition_is_associative(corpus):
     assert preproj.compose_combo({b: 1, c: -1}, {a: 1, d: 1}) == {}
     doubled = preproj.compose_combo({b: 1, c: 1}, {a: 1, d: 1})
     assert doubled == {p: 2 * x for p, x in ba.items()}
+
+
+# a*b = 2 c*b, built directly with int coefficients and parsed from text
+DIRECT_ARROWS = [Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 1, 2)]
+DIRECT_TEXT = """\
+vertices 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 1 -> 2
+relation a*b + -2 c*b
+"""
+
+
+def test_integer_coefficients_are_stored_as_fractions():
+    relation = {(1, ("a", "b")): 1, (1, ("c", "b")): -2}
+    q = BoundQuiver(3, DIRECT_ARROWS, [relation])
+    parsed = parse_algebra(DIRECT_TEXT)
+    assert q.fingerprint() == parsed.fingerprint()
+    assert q.path_basis == parsed.path_basis
+    assert all(type(c) is Fraction for r in q.relations for c in r.values())
+    assert all(type(c) is int for c in relation.values())  # the caller's dict is untouched
+
+
+@pytest.mark.parametrize("coefficient", [-2.0, 0.5, True], ids=["integral_float", "float", "bool"])
+def test_inexact_coefficients_rejected(coefficient):
+    with pytest.raises(AlgebraError, match="not an int or Fraction"):
+        BoundQuiver(3, DIRECT_ARROWS, [{(1, ("a", "b")): 1, (1, ("c", "b")): coefficient}])
+
+
+def test_memo_sizes_count_one_entry_per_argument_tuple():
+    q = parse_algebra(A3_REL_TEXT)
+    p1, p2 = projective(q, 1), projective(q, 2)
+    assert hom_basis(p1, p2) is hom_basis(p1, p2)
+    hom_basis(p2, p1)
+    sizes = memo_sizes(q)
+    assert sizes["tautilt.modules.hom_basis"] == 2
+    assert sizes["tautilt.modules.projective"] == 2
+
+
+def test_raising_and_keyword_calls_add_no_entry():
+    q = parse_algebra(A3_REL_TEXT)
+    p1, p2 = projective(q, 1), projective(q, 2)
+    before = memo_sizes(q)
+    with pytest.raises(ValueError):
+        projective(q, 0)
+    with pytest.raises(TypeError):
+        hom_basis(p1, n=p2)
+    assert memo_sizes(q) == before
+
+
+def test_equal_arguments_share_one_entry():
+    q = parse_algebra(A3_REL_TEXT)
+    parts = [projective(q, i) for i in (1, 2, 3)]
+    pair = TauPair(q, parts, ())
+    rebuilt = TauPair(q, parts[::-1], ())
+    assert rebuilt is not pair and rebuilt == pair
+    assert g_matrix(rebuilt) is g_matrix(pair)
+    assert memo_sizes(q)["tautilt.tautilting.g_matrix"] == 1
+
+
+def test_a_newly_memoised_function_gets_its_own_table():
+    q = parse_algebra(A3_REL_TEXT)
+    calls = []
+
+    def dims_of(m):
+        calls.append(m)
+        return m.dims
+
+    counted = memoised(dims_of)
+    p1 = projective(q, 1)
+    assert counted(p1) == counted(p1) == p1.dims
+    assert calls == [p1]
+    assert memo_sizes(q) == {"tautilt.modules.projective": 1,
+                             f"{dims_of.__module__}.{dims_of.__qualname__}": 1}

@@ -20,6 +20,7 @@ import pytest
 from conftest import A3_REL_TEXT, A3_TEXT, CORPUS_TEXTS, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
 from tautilt import cli, linalg, modules, parse_algebra
+from tautilt.algebra import memo_sizes
 from tautilt.modules import (
     DecompositionError,
     ModuleMap,
@@ -1027,6 +1028,14 @@ def test_interned_arrow_maps_are_not_the_callers():
     assert Representation(q, (1, 1, 0), {"a": mat([[1]])}) is rep
 
 
+def test_unknown_arrow_name_rejected():
+    q = parse_algebra(A3_REL_TEXT)
+    with pytest.raises(ValueError, match="typo"):
+        Representation(q, (1, 1, 0), {"a": mat([[1]]), "typo": mat([[1]])})
+    with pytest.raises(ValueError, match="typo"):
+        Representation(q, (0, 0, 0), {"typo": mat([[1]])})
+
+
 @pytest.mark.parametrize("text", [A3_REL_TEXT, PREPROJ_A3_TEXT],
                          ids=["a3_rel", "preproj_a3"])
 def test_verify_reports_independent_of_prefilled_memos(text):
@@ -1105,8 +1114,8 @@ def test_memoised_calls_are_positional(a3_rel):
 
 def test_raising_call_stores_nothing():
     q = parse_algebra(A3_REL_TEXT)
-    before = len(q._memo)
+    before = memo_sizes(q)
     for _ in range(2):
         with pytest.raises(ValueError):
             projective(q, 0)
-    assert len(q._memo) == before
+    assert memo_sizes(q) == before

@@ -13,7 +13,7 @@ import pytest
 from conftest import A3_REL_TEXT, NAKAYAMA2_TEXT, PREPROJ_A3_TEXT
 
 from tautilt import cli, linalg, modules, parse_algebra, stability
-from tautilt.algebra import memoised
+from tautilt.algebra import memo_sizes, memoised
 from tautilt.modules import (
     _in_fac,
     cokernel,
@@ -34,7 +34,6 @@ from tautilt.stability import (
     fac_contains,
     is_semistable_bruteforce,
     is_semistable_hom,
-    is_stable_bruteforce,
     minimal_torsion_contains,
     pairing,
     self_extension_witness,
@@ -54,7 +53,7 @@ from tautilt.tautilting import (
     slot_mutates_down,
 )
 
-from reference import pair_is_valid, rep_from_literal, simple
+from reference import is_stable_bruteforce, pair_is_valid, rep_from_literal, simple
 
 
 def node_by_desc(graph, desc):
@@ -312,8 +311,7 @@ def test_verify_pair_reports_independent_of_oracle_cache():
         if prefill:
             for x in probes:
                 submodule_dim_vectors(x, 2)
-            oracle = stability._enumerate_submodule_dims.__wrapped__
-            assert sum(key[0] is oracle for key in q._memo) == len(probes)
+            assert memo_sizes(q)["tautilt.stability._enumerate_submodule_dims"] == len(probes)
         reports.append([verify_pair(pair, graph, probes) for pair in graph.nodes])
     assert reports[0] == reports[1]
     assert all(r["pass"] for r in reports[0])
@@ -571,6 +569,8 @@ def test_semibrick_rejects_bad_input(a3_rel, a3_rel_graph):
     with pytest.raises(ValueError):
         semibrick_to_pair([projective(a3_rel, 1), simple(a3_rel, 1)],
                           a3_rel_graph)  # Hom(P1, S1) != 0
+    with pytest.raises(ValueError):  # an iterator is checked on every pair too
+        semibrick_to_pair(iter([projective(a3_rel, 1), simple(a3_rel, 1)]), a3_rel_graph)
     with pytest.raises(ValueError):
         semibrick_to_pair([direct_sum(a3_rel, [simple(a3_rel, 1)] * 2)],
                           a3_rel_graph)  # not a brick

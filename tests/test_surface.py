@@ -78,7 +78,7 @@ def test_every_benchmark_traced_name_resolves(layer, name):
 def test_engine_names_no_test_only_code():
     moved = {name for name, obj in vars(reference).items()
              if getattr(obj, "__module__", None) == reference.__name__}
-    assert {"rep_from_literal", "mat", "simple", "pair_is_valid"} <= moved
+    assert {"rep_from_literal", "mat", "simple", "pair_is_valid", "is_stable_bruteforce"} <= moved
     for path in sorted((SRC / "tautilt").glob("*.py")):
         codes = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
         names = set()

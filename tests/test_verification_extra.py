@@ -7,7 +7,6 @@ from tautilt.modules import hom_dim, projective
 from tautilt.stability import (
     BudgetExceeded,
     brick_of_slot,
-    is_stable_bruteforce,
     slate_for_node,
     theta_of_pair,
 )
@@ -22,7 +21,7 @@ from tautilt.tautilting import (
 )
 from tautilt.wallchamber import wall_of_brick
 
-from reference import simple
+from reference import is_stable_bruteforce, simple
 
 
 def test_brick_uniqueness_among_registry(corpus_graphs):
