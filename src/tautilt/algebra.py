@@ -28,6 +28,8 @@ PATH_CAP = 60
 # is far beyond exact enumeration; without it, irreducible paths that double
 # with each length (two free loops) would be listed until memory runs out
 BASIS_CAP = 10_000
+_BASIS_CAP_MESSAGE = (f"path basis exceeds {BASIS_CAP} paths; ideal is not admissible "
+                      "or the algebra is too large")
 
 
 def _add_into(out: Combo, terms: Combo, scale) -> None:
@@ -94,6 +96,9 @@ class BoundQuiver:
                  relations: list[Combo]):
         if n_vertices < 1:
             raise AlgebraError("need at least one vertex")
+        # relations have length >= 2, so every vertex and arrow is a basis path
+        if n_vertices + len(arrows) > BASIS_CAP:
+            raise AlgebraError(_BASIS_CAP_MESSAGE)
         self.n = n_vertices
         self.arrows = list(arrows)
         self.arrow_by_name = {a.name: a for a in arrows}
@@ -303,9 +308,7 @@ class BoundQuiver:
                         new_frontier.append(q)
             basis.extend(new_frontier)
             if len(basis) > BASIS_CAP:
-                raise AlgebraError(
-                    f"path basis exceeds {BASIS_CAP} paths; ideal is not admissible "
-                    "or the algebra is too large")
+                raise AlgebraError(_BASIS_CAP_MESSAGE)
             frontier = new_frontier
         return basis
 

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import linalg
 from .algebra import AlgebraError, parse_algebra
 from .modules import DecompositionError, direct_sum, ext1_dim, injective, projective
 from .stability import (
@@ -113,8 +112,8 @@ def _probes_for(graph):
     return probes
 
 
-def _fmt_matrix(m) -> str:
-    return ";".join(",".join(str(x) for x in row) for row in linalg.as_int_matrix(m))
+def _fmt_matrix(cols) -> str:
+    return ";".join(",".join(str(x) for x in row) for row in zip(*cols))
 
 
 def _fmt_vecs(vecs) -> str:

@@ -426,19 +426,6 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     return Matrix(rows, n)
 
 
-def as_int_matrix(a: Matrix) -> list[list[int]]:
-    """Convert an exact matrix with integer entries to nested python ints."""
-    out = []
-    for i, row in enumerate(a.rows):
-        ints = []
-        for j, x in enumerate(row):
-            if x.denominator != 1:
-                raise ValueError(f"non-integer entry {x} at ({i},{j})")
-            ints.append(x.numerator)
-        out.append(ints)
-    return out
-
-
 def min_poly(a: Matrix) -> list[int | Fraction]:
     """Coefficients (low to high degree, monic) of the minimal polynomial.
 

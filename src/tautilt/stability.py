@@ -277,13 +277,13 @@ def _brick_from_local_module(y: Representation) -> Representation:
 
 
 class BrickSlate:
-    """The bricks of a pair with the matrix identity data C = X D."""
+    """The bricks of a pair, one per slot, with the signs D of C = X D: X
+    has the bricks' dimension vectors as its columns."""
 
     def __init__(self, pair: TauPair, bricks: tuple[Representation, ...],
-                 x_matrix: linalg.Matrix, d_diagonal: tuple[int, ...]):
+                 d_diagonal: tuple[int, ...]):
         self.pair = pair
         self.bricks = bricks
-        self.x_matrix = x_matrix
         self.d_diagonal = d_diagonal
 
     def positive_slots(self) -> list[int]:
@@ -291,29 +291,26 @@ class BrickSlate:
 
 
 def brick_slate(pair: TauPair, graph: ExchangeGraph) -> BrickSlate:
-    """Assemble the brick dimension-vector matrix X and check C = X D.
+    """Extract one brick per slot and check G^T X = D, diagonal +-1, and
+    C = X D, reading (G^T X)_ij as <g_i, dim B_j>.
 
     The bricks found become canonical handles of the graph's registry
     ("bricks found" belong to the probe pool alongside the rigid summands)."""
     q = pair.algebra
     bricks = tuple(graph.registry.handle(brick_of_slot(pair, r, graph))
                    for r in range(q.n))
-    x = linalg.Matrix([list(row) for row in zip(*(b.dims for b in bricks))], q.n)
-    g = g_matrix(pair)
-    d = g.T @ x
     diag = []
-    for i in range(q.n):
-        for j in range(q.n):
-            if i != j and d[i, j] != 0:
+    for i, g_i in enumerate(g_matrix(pair)):
+        for j, b in enumerate(bricks):
+            if i != j and pairing(g_i, b.dims) != 0:
                 raise TheoremViolationError("G^T X is not diagonal")
-        if d[i, i] not in (1, -1):
-            raise TheoremViolationError(f"diagonal entry {d[i, i]} is not +-1")
-        diag.append(int(d[i, i]))
-    c = c_matrix(pair)
-    xd = linalg.Matrix([[y * s for y, s in zip(row, diag)] for row in x.rows], q.n)
-    if not linalg.equal(c, xd):
+        d = pairing(g_i, bricks[i].dims)
+        if d not in (1, -1):
+            raise TheoremViolationError(f"diagonal entry {d} is not +-1")
+        diag.append(d)
+    if c_matrix(pair) != tuple(tuple(s * y for y in b.dims) for b, s in zip(bricks, diag)):
         raise TheoremViolationError("C != X D for the extracted bricks")
-    return BrickSlate(pair, bricks, x, tuple(diag))
+    return BrickSlate(pair, bricks, tuple(diag))
 
 
 def b_plus(slate: BrickSlate) -> list[Representation]:
@@ -498,7 +495,6 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> 
     idx = graph.node_index(pair)
     slate = slate_for_node(graph, idx)
     q = pair.algebra
-    c = c_matrix(pair)
     report: dict = {
         "pair": pair.descriptor(),
         "d_diagonal": list(slate.d_diagonal),
@@ -507,21 +503,15 @@ def verify_pair(pair: TauPair, graph: ExchangeGraph, probes, prime: int = 2) -> 
         "checks": {},
         "witnesses": [],
     }
-    signs = sign_coherence(c)
+    signs = sign_coherence(c_matrix(pair))
     report["checks"]["sign_coherence"] = "mixed" not in signs
     if "mixed" in signs:
         report["witnesses"].append({"check": "sign_coherence", "columns": signs})
 
-    # C = X D was asserted while building the slate; re-derive for the report
-    ok_cxd = True
-    g = g_matrix(pair)
-    gtxd = g.T @ slate.x_matrix
-    for i in range(q.n):
-        for j in range(q.n):
-            expected = slate.d_diagonal[i] if i == j else 0
-            if gtxd[i, j] != expected:
-                ok_cxd = False
-    report["checks"]["c_eq_xd"] = ok_cxd
+    # C = X D was asserted while building the slate; re-derive G^T X = D
+    report["checks"]["c_eq_xd"] = all(
+        pairing(g_i, b.dims) == (slate.d_diagonal[i] if i == j else 0)
+        for i, g_i in enumerate(g_matrix(pair)) for j, b in enumerate(slate.bricks))
 
     theta = theta_of_pair(pair)
     ok_theta = all(pairing(theta, slate.bricks[r].dims) == slate.d_diagonal[r]

@@ -156,32 +156,35 @@ def signed_g_vectors(pair: TauPair) -> tuple[tuple[int, ...], ...]:
 
 
 @memoised
-def g_matrix(pair: TauPair) -> linalg.Matrix:
-    """Columns are the signed g-vectors of the slots.  The determinant is +-1.
-    Memoised per pair; the read-only result is shared by every caller."""
+def g_matrix(pair: TauPair) -> tuple[tuple[int, ...], ...]:
+    """The columns of G: :func:`signed_g_vectors`, once det G = +-1 is
+    checked.  Memoised per pair; the tuples are shared by every caller."""
     if not pair.is_tilting():
         raise ValueError("g-matrix is defined for pairs with n summands")
-    g = linalg.Matrix([list(row) for row in zip(*signed_g_vectors(pair))], pair.algebra.n)
-    d = linalg.det(g)
+    g = signed_g_vectors(pair)
+    d = linalg.det(linalg.Matrix([list(row) for row in zip(*g)], pair.algebra.n))
     if d not in (1, -1):
         raise TheoremViolationError(f"g-matrix determinant is {d}, expected +-1")
-    return linalg.frozen(g)
+    return g
 
 
 @memoised
-def c_matrix(pair: TauPair) -> linalg.Matrix:
-    """Exact inverse-transpose of the g-matrix; integer entries.  Memoised
-    per pair; the read-only result is shared by every caller."""
-    c = linalg.inverse(g_matrix(pair)).T
-    linalg.as_int_matrix(c)  # integrality assertion
-    return linalg.frozen(c)
+def c_matrix(pair: TauPair) -> tuple[tuple[int, ...], ...]:
+    """The columns of C = (G^T)^-1, the c-vectors: the rows of G^-1, checked
+    to be integral.  Memoised per pair; the tuples are shared by every
+    caller."""
+    g = g_matrix(pair)
+    inv = linalg.inverse(linalg.Matrix([list(row) for row in zip(*g)], len(g)))
+    if not all(isinstance(x, int) for row in inv.rows for x in row):
+        raise TheoremViolationError("C-matrix has a non-integer entry")
+    return tuple(tuple(row) for row in inv.rows)
 
 
-def sign_coherence(c: linalg.Matrix) -> list[str]:
+def sign_coherence(cols) -> list[str]:
     """Classify each column as 'positive' / 'negative'; 'mixed' never occurs
     for a C-matrix and is surfaced for the verification report."""
     out = []
-    for col in c.T.rows:
+    for col in cols:
         if all(x >= 0 for x in col):
             out.append("positive")
         elif all(x <= 0 for x in col):
@@ -192,13 +195,7 @@ def sign_coherence(c: linalg.Matrix) -> list[str]:
 
 
 def positive_c_vectors(pair: TauPair) -> list[tuple[int, ...]]:
-    c = c_matrix(pair)
-    cols = []
-    for j in range(c.shape[1]):
-        col = tuple(int(c[i, j]) for i in range(c.shape[0]))
-        if all(x >= 0 for x in col):
-            cols.append(col)
-    return cols
+    return [c for c in c_matrix(pair) if all(x >= 0 for x in c)]
 
 
 # ----------------------------------------------------------------------
@@ -420,11 +417,9 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
                     continue
                 index[new_pair] = len(nodes)
                 nodes.append(new_pair)
-            c = c_matrix(pair)
-            col = tuple(int(c[i, r]) for i in range(q.n))
-            raw_edges.append((src_idx, index[new_pair], r, col))
+            raw_edges.append((src_idx, index[new_pair], r, c_matrix(pair)[r]))
 
-    order = sorted(range(len(nodes)), key=lambda i: _node_sort_key(q, nodes[i]))
+    order = sorted(range(len(nodes)), key=lambda i: _node_sort_key(nodes[i]))
     relabel = {old: new for new, old in enumerate(order)}
     edges = sorted((Edge(relabel[src], relabel[dst], slot, col)
                     for src, dst, slot, col in raw_edges), key=lambda e: (e.src, e.slot))
@@ -438,9 +433,8 @@ def _enumerate_exchange_graph(q: BoundQuiver, max_nodes: int, max_dim: int) -> E
     return graph
 
 
-def _node_sort_key(q: BoundQuiver, pair: TauPair):
-    g = g_matrix(pair)
-    flat = tuple(int(g[i, j]) for i in range(q.n) for j in range(q.n))
+def _node_sort_key(pair: TauPair):
+    flat = tuple(x for row in zip(*g_matrix(pair)) for x in row)  # G row-major
     return (len(pair.p_parts), flat)
 
 
@@ -457,11 +451,9 @@ def complete_almost_pair(almost: TauPair, graph: ExchangeGraph) -> tuple[TauPair
 
 
 def pair_to_json_dict(pair: TauPair) -> dict:
-    g = g_matrix(pair)
-    c = c_matrix(pair)
     return {
         "m_parts": [{"dim_vector": list(rep.dims)} for rep in pair.m_parts],
         "p_parts": list(pair.p_parts),
-        "g_matrix": linalg.as_int_matrix(g),
-        "c_matrix": linalg.as_int_matrix(c),
+        "g_matrix": [list(row) for row in zip(*g_matrix(pair))],
+        "c_matrix": [list(row) for row in zip(*c_matrix(pair))],
     }

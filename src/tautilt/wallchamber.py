@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .modules import Representation
-from .stability import slate_for_node, submodule_dim_vectors
+from .stability import pairing, slate_for_node, submodule_dim_vectors
 from .tautilting import (
     ExchangeGraph,
     TauPair,
@@ -47,17 +47,14 @@ class Fan(NamedTuple):
 
 
 def chamber_of_pair(pair: TauPair, pair_id: int = 0) -> Chamber:
-    """Assemble a chamber and assert the exact orthogonality C^T G = Id."""
+    """Assemble a chamber and assert the exact orthogonality C^T G = Id,
+    reading (C^T G)_ij as <c_i, g_j>."""
     g, c = g_matrix(pair), c_matrix(pair)
-    n = pair.algebra.n
-    prod = c.T @ g
-    for i in range(n):
-        for j in range(n):
-            if prod[i, j] != (1 if i == j else 0):
+    for i, c_i in enumerate(c):
+        for j, g_j in enumerate(g):
+            if pairing(c_i, g_j) != (1 if i == j else 0):
                 raise TheoremViolationError("C^T G is not the identity")
-    gens = tuple(tuple(int(g[i, j]) for i in range(n)) for j in range(n))
-    normals = tuple(tuple(int(c[i, j]) for i in range(n)) for j in range(n))
-    return Chamber(pair_id, pair, gens, normals)
+    return Chamber(pair_id, pair, g, c)
 
 
 def wall_of_brick(brick: Representation, p: int = 2) -> Wall:

@@ -35,6 +35,12 @@ def mat(rows) -> linalg.Matrix:
     return linalg.Matrix(data, n_cols)
 
 
+def row_major(cols) -> list[list]:
+    """The row-major literal of a matrix given by its columns, such as a
+    G- or C-matrix."""
+    return [list(r) for r in zip(*cols)]
+
+
 def rep_from_literal(q: BoundQuiver, literal: dict) -> Representation:
     """Build a representation from {"dims": [...], "arrows": {name: [[...]]}}.
 

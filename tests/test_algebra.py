@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tautilt import AlgebraError, BoundQuiver, parse_algebra
-from tautilt.algebra import Arrow, memo_sizes, memoised
+from tautilt.algebra import BASIS_CAP, Arrow, memo_sizes, memoised
 from tautilt.modules import hom_basis, projective
 from tautilt.tautilting import TauPair, g_matrix
 
@@ -216,6 +216,29 @@ def test_integer_coefficients_are_stored_as_fractions():
 def test_inexact_coefficients_rejected(coefficient):
     with pytest.raises(AlgebraError, match="not an int or Fraction"):
         BoundQuiver(3, DIRECT_ARROWS, [{(1, ("a", "b")): 1, (1, ("c", "b")): coefficient}])
+
+
+class _BasisBuilt(Exception):
+    pass
+
+
+def _refuse_basis(self):
+    raise _BasisBuilt
+
+
+def test_too_many_vertices_and_arrows_refused_before_the_basis(monkeypatch):
+    # every vertex and every arrow is a basis path, so a presentation with
+    # more of them than BASIS_CAP is refused before any path is built
+    monkeypatch.setattr(BoundQuiver, "_compute_basis", _refuse_basis)
+    with pytest.raises(AlgebraError, match=f"path basis exceeds {BASIS_CAP} paths"):
+        BoundQuiver(BASIS_CAP + 1, [], [])
+    with pytest.raises(AlgebraError, match=f"path basis exceeds {BASIS_CAP} paths"):
+        BoundQuiver(BASIS_CAP, [Arrow("a", 1, 2)], [])
+    # at the cap exactly, the count check passes and the basis is built
+    with pytest.raises(_BasisBuilt):
+        BoundQuiver(BASIS_CAP, [], [])
+    with pytest.raises(_BasisBuilt):
+        BoundQuiver(BASIS_CAP - 1, [Arrow("a", 1, 2)], [])
 
 
 def test_memo_sizes_count_one_entry_per_argument_tuple():

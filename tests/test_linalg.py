@@ -135,11 +135,6 @@ def test_inverse_and_det():
         linalg.inverse(mat([[1, 1], [1, 1]]))
 
 
-def test_as_int_matrix_rejects_fractions():
-    with pytest.raises(ValueError):
-        linalg.as_int_matrix(mat([["1/2"]]))
-
-
 def test_min_poly_diagonal():
     a = mat([[2, 0], [0, 3]])
     # (x-2)(x-3) = 6 - 5x + x^2

@@ -31,6 +31,7 @@ from tautilt.stability import (
     BudgetExceeded,
     b_plus,
     brick_of_slot,
+    brick_slate,
     fac_contains,
     is_semistable_bruteforce,
     is_semistable_hom,
@@ -46,6 +47,7 @@ from tautilt.stability import (
 )
 from tautilt.tautilting import (
     TauPair,
+    TheoremViolationError,
     enumerate_exchange_graph,
     g_matrix,
     is_tau_rigid_pair,
@@ -53,7 +55,7 @@ from tautilt.tautilting import (
     slot_mutates_down,
 )
 
-from reference import is_stable_bruteforce, pair_is_valid, rep_from_literal, simple
+from reference import is_stable_bruteforce, pair_is_valid, rep_from_literal, row_major, simple
 
 
 def node_by_desc(graph, desc):
@@ -87,7 +89,7 @@ def test_theta_matches_g_matrix(text):
     # r, and that is the theta of the almost pair itself
     graph = enumerate_exchange_graph(parse_algebra(text))
     for pair in graph.nodes:
-        g = g_matrix(pair).tolist()
+        g = row_major(g_matrix(pair))
         assert theta_of_pair(pair) == tuple(sum(row) for row in g)
         for r in range(pair.n_summands):
             assert theta_of_pair(remove_summand(pair, r)) == tuple(sum(row) - row[r] for row in g)
@@ -543,8 +545,7 @@ def test_facm_catches_mismatch(a3_rel_graph):
     graph = a3_rel_graph
     slate = slate_for_node(graph, graph.node_index(
         node_by_desc(graph, "((1,1,0) (1,0,0) | P3)")))
-    tampered = type(slate)(slate.pair, slate.bricks, slate.x_matrix,
-                           tuple(-d for d in slate.d_diagonal))
+    tampered = type(slate)(slate.pair, slate.bricks, tuple(-d for d in slate.d_diagonal))
     report = verify_facm_theorem(tampered, list(graph.registry.reps))
     assert not report["facm_equality"]
 
@@ -698,6 +699,45 @@ def test_planted_oracle_error_marks_both_sides_of_its_wall(monkeypatch):
             failing[pair] = report["witnesses"]
     witness = {"check": "dual_oracle", "probe": list(planted.dims)}
     assert failing == {src: [dict(witness, slot=r)], dst: [dict(witness, slot=s)]}
+
+
+def _swapped(bricks, r, s):
+    out = list(bricks)
+    out[r], out[s] = out[s], out[r]
+    return tuple(out)
+
+
+def test_planted_brick_swap_breaks_gtx_diagonal(monkeypatch):
+    # G^T X = D is read as <g_i, dim B_j>; a brick in the wrong slot makes
+    # an off-diagonal pairing nonzero
+    q = parse_algebra(A3_REL_TEXT)
+    graph = enumerate_exchange_graph(q)
+    pair = graph.nodes[0]
+    assert brick_slate(pair, graph).d_diagonal == (1, 1, 1)
+    honest = stability.brick_of_slot
+    monkeypatch.setattr(stability, "brick_of_slot",
+                        lambda pair, r, graph: honest(pair, {0: 1, 1: 0}.get(r, r), graph))
+    with pytest.raises(TheoremViolationError, match=r"G\^T X is not diagonal"):
+        brick_slate(pair, graph)
+
+
+def test_planted_brick_swap_fails_c_eq_xd_and_theta(monkeypatch):
+    # swapping a positive and a negative slot's bricks breaks both G^T X = D
+    # and <theta, dim B_r> = d_r, which verify_pair re-derives from the slate
+    q = parse_algebra(A3_REL_TEXT)
+    graph = enumerate_exchange_graph(q)
+    probes = list(graph.registry.reps)
+    idx = next(i for i in range(len(graph.nodes))
+               if len(set(slate_for_node(graph, i).d_diagonal)) == 2)
+    pair, slate = graph.nodes[idx], slate_for_node(graph, idx)
+    honest = verify_pair(pair, graph, probes)["checks"]
+    assert honest["c_eq_xd"] and honest["theta_pairing"]
+    r, s = slate.d_diagonal.index(1), slate.d_diagonal.index(-1)
+    tampered = type(slate)(pair, _swapped(slate.bricks, r, s), slate.d_diagonal)
+    monkeypatch.setattr(stability, "slate_for_node", lambda graph, idx: tampered)
+    checks = verify_pair(pair, graph, probes)["checks"]
+    assert checks["c_eq_xd"] is False
+    assert checks["theta_pairing"] is False
 
 
 def test_planted_torsion_step_error_breaks_facm(monkeypatch):

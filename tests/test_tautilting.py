@@ -33,14 +33,11 @@ from tautilt.tautilting import (
     pair_to_json_dict,
     remove_summand,
     sign_coherence,
+    signed_g_vectors,
     slot_mutates_down,
 )
 
-from reference import mat, pair_is_valid, rep_from_literal, rep_to_literal, simple
-
-
-def as_ints(m):
-    return linalg.as_int_matrix(m)
+from reference import mat, pair_is_valid, rep_from_literal, rep_to_literal, row_major, simple
 
 
 # ----------------------------------------------------------------------
@@ -434,32 +431,51 @@ def test_disconnected_quiver():
 
 def test_g_matrix_golden(a3_rel_graph):
     nodes = a3_rel_graph.nodes
-    assert as_ints(g_matrix(nodes[0])) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert row_major(g_matrix(nodes[0])) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     by_desc = {n.descriptor(): n for n in nodes}
     row2 = by_desc["((1,1,0) (0,1,1) (0,1,0) | 0)"]
-    assert as_ints(g_matrix(row2)) == [[1, 0, 0], [0, 1, 1], [0, 0, -1]]
+    assert row_major(g_matrix(row2)) == [[1, 0, 0], [0, 1, 1], [0, 0, -1]]
     last = by_desc["(0 | P1 P2 P3)"]
-    assert as_ints(g_matrix(last)) == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    assert row_major(g_matrix(last)) == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def test_c_matrix_golden(a3_rel_graph):
     by_desc = {n.descriptor(): n for n in a3_rel_graph.nodes}
     row2 = by_desc["((1,1,0) (0,1,1) (0,1,0) | 0)"]
-    assert as_ints(c_matrix(row2)) == [[1, 0, 0], [0, 1, 0], [0, 1, -1]]
+    assert row_major(c_matrix(row2)) == [[1, 0, 0], [0, 1, 0], [0, 1, -1]]
     row4 = by_desc["((0,1,1) (0,0,1) | P1)"]
-    assert as_ints(c_matrix(row4)) == [[0, 0, -1], [1, 0, 0], [0, 1, 0]]
-    assert as_ints(c_matrix(by_desc["(0 | P1 P2 P3)"])) == \
+    assert row_major(c_matrix(row4)) == [[0, 0, -1], [1, 0, 0], [0, 1, 0]]
+    assert row_major(c_matrix(by_desc["(0 | P1 P2 P3)"])) == \
         [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def test_g_matrix_unimodular(corpus_graphs):
     for graph in corpus_graphs.values():
         for pair in graph.nodes:
-            g = g_matrix(pair)
+            g = mat(row_major(g_matrix(pair)))
             assert linalg.det(g) in (1, -1)
-            c = c_matrix(pair)
+            c = mat(row_major(c_matrix(pair)))
             prod = c.T @ g
             assert linalg.equal(prod, linalg.eye(graph.algebra.n))
+
+
+def test_g_and_c_are_tuples_of_integer_columns(corpus_graphs):
+    # G's columns are the signed g-vectors and C's the c-vectors, with
+    # <c_i, g_j> = delta_ij; each edge is labelled by its source's c-vector
+    for graph in corpus_graphs.values():
+        n = graph.algebra.n
+        for pair in graph.nodes:
+            g, c = g_matrix(pair), c_matrix(pair)
+            assert g == signed_g_vectors(pair)
+            for cols in (g, c):
+                assert type(cols) is tuple and len(cols) == n
+                assert all(type(col) is tuple and len(col) == n for col in cols)
+                assert all(type(x) is int for col in cols for x in col)
+            for i, c_i in enumerate(c):
+                for j, g_j in enumerate(g):
+                    assert sum(x * y for x, y in zip(c_i, g_j)) == (1 if i == j else 0)
+        for e in graph.edges:
+            assert e.c_vector == c_matrix(graph.nodes[e.src])[e.slot]
 
 
 def test_g_and_c_matrices_memoised_read_only(a3_rel_graph):
@@ -479,8 +495,19 @@ def test_g_and_c_matrices_memoised_read_only(a3_rel_graph):
                 assert hash(other) == hash(pair)
                 assert fn(other) is m
             assert memo_sizes(q) == entries
-            with pytest.raises(ValueError):
-                m[0, 0] = 7
+            with pytest.raises(TypeError):
+                m[0][0] = 7
+
+
+def test_c_matrix_refuses_a_non_integer_entry(monkeypatch):
+    # a G with det 2 has a half-integral inverse; c_matrix raises and stores nothing
+    q = parse_algebra("vertices 2")
+    pair = TauPair(q, (projective(q, 1), projective(q, 2)), ())
+    monkeypatch.setattr(tautilting, "g_matrix", lambda pair: ((2, 0), (0, 1)))
+    before = memo_sizes(q)
+    with pytest.raises(tautilting.TheoremViolationError, match="non-integer"):
+        c_matrix(pair)
+    assert memo_sizes(q) == before
 
 
 def test_g_matrix_requires_tilting(a3_rel):
@@ -509,12 +536,10 @@ def test_graph_spellings_share_one_memo_entry():
 
 
 def test_sign_coherence_classification():
-    ident = linalg.eye(2)
-    assert sign_coherence(ident) == ["positive", "positive"]
-    neg = mat([[-1, 0], [0, -1]])
-    assert sign_coherence(neg) == ["negative", "negative"]
-    mixed = mat([[1, 0], [-1, 1]])
-    assert sign_coherence(mixed) == ["mixed", "positive"]
+    # each argument lists columns
+    assert sign_coherence([(1, 0), (0, 1)]) == ["positive", "positive"]
+    assert sign_coherence([(-1, 0), (0, -1)]) == ["negative", "negative"]
+    assert sign_coherence([(1, -1), (0, 1)]) == ["mixed", "positive"]
 
 
 def test_sign_coherence_corpus(corpus_graphs):
@@ -526,12 +551,9 @@ def test_sign_coherence_corpus(corpus_graphs):
 def test_positive_negative_c_vector_symmetry(corpus_graphs):
     # every positive c-vector appears negated as a negative one, and back
     for graph in corpus_graphs.values():
-        n = graph.algebra.n
         pos, neg = set(), set()
         for pair in graph.nodes:
-            c = c_matrix(pair)
-            for j in range(n):
-                col = tuple(int(c[i, j]) for i in range(n))
+            for col in c_matrix(pair):
                 if all(x >= 0 for x in col):
                     pos.add(col)
                 else:
@@ -543,19 +565,14 @@ def test_edge_labels_are_positive_columns(corpus_graphs):
     for graph in corpus_graphs.values():
         for e in graph.edges:
             assert all(x >= 0 for x in e.c_vector)
-            c = c_matrix(graph.nodes[e.src])
-            col = tuple(int(c[i, e.slot]) for i in range(graph.algebra.n))
-            assert col == e.c_vector
+            assert c_matrix(graph.nodes[e.src])[e.slot] == e.c_vector
 
 
 def test_slot_direction_matches_c_sign(corpus_graphs):
     # a slot mutates down exactly when its c-vector column is positive
     for graph in corpus_graphs.values():
-        n = graph.algebra.n
         for pair in graph.nodes:
-            c = c_matrix(pair)
-            for r in range(n):
-                col = [int(c[i, r]) for i in range(n)]
+            for r, col in enumerate(c_matrix(pair)):
                 assert slot_mutates_down(pair, r) == all(x >= 0 for x in col)
 
 

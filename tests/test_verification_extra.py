@@ -72,12 +72,9 @@ def test_kronecker_preprojective_g_vectors():
     kron = parse_algebra("vertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2")
     graph = enumerate_exchange_graph(kron, max_nodes=12)
     from tautilt.tautilting import g_matrix
-    from tautilt import linalg
     cols = set()
     for pair in graph.nodes:
-        g = g_matrix(pair)
-        for j in range(2):
-            cols.add((int(g[0, j]), int(g[1, j])))
+        cols.update(g_matrix(pair))
     for m in range(4):
         assert (m + 1, -m) in cols
 

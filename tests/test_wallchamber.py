@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+from tautilt import wallchamber
 from tautilt.modules import projective
 from tautilt.stability import slate_for_node
+from tautilt.tautilting import TheoremViolationError, c_matrix
 from tautilt.wallchamber import (
     build_fan,
     chamber_of_pair,
@@ -31,6 +33,15 @@ def node_by_desc(graph, desc):
 # ----------------------------------------------------------------------
 # chambers and walls
 # ----------------------------------------------------------------------
+
+def test_planted_column_swap_breaks_ctg_identity(a3_rel_graph, monkeypatch):
+    # C^T G = I is read as <c_i, g_j>; C with two columns permuted fails it
+    pair = a3_rel_graph.nodes[0]
+    c = c_matrix(pair)
+    monkeypatch.setattr(wallchamber, "c_matrix", lambda pair: (c[1], c[0]) + c[2:])
+    with pytest.raises(TheoremViolationError, match=r"C\^T G is not the identity"):
+        chamber_of_pair(pair)
+
 
 def test_chamber_golden(a3_rel_graph):
     start = a3_rel_graph.nodes[0]
