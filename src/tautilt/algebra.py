@@ -62,7 +62,9 @@ def memoised(fn):
     raises ``TypeError``.  A call that raises stores nothing.  Arguments must
     be hashable, and equal arguments must mean equal answers: interned
     representations and exchange graphs key by identity, tau-tilting pairs by
-    their parts.
+    their parts.  Every caller shares one answer, so answers must be
+    immutable values (tuples, frozensets, matrices, read-only mappings),
+    never a list, set or dict a caller could change.
     """
     @functools.wraps(fn)
     def wrapper(*args):
@@ -323,11 +325,11 @@ class BoundQuiver:
         arrows = [(a.source, (a.name,)) for a in self.arrows]
         span = [{p: Fraction(1)} for p in arrows]  # relations have length >= 2
         for _ in range(self.dimension):
-            rows = linalg.zeros(len(span), self.dimension)
-            for i, combo in enumerate(span):
+            rows = [[0] * self.dimension for _ in span]
+            for row, combo in zip(rows, span):
                 for p, c in combo.items():
-                    rows[i, self._basis_index[p]] = c
-            reduced, pivots = linalg.rref(rows)
+                    row[self._basis_index[p]] = c
+            reduced, pivots = linalg.rref(linalg.Matrix(rows, self.dimension))
             if not pivots:
                 return
             basis = [{p: x for p, x in zip(self.path_basis, row) if x}

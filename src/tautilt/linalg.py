@@ -16,9 +16,12 @@ row-echelon form is unique, so the pivots and every output entry equal
 those of a dense Fraction elimination.  ``nullspace_of_rows`` takes such
 rows directly, so sparse systems (the Hom intertwiner equations) are never
 built densely.  A kernel basis is the identity at its free coordinates;
-``free_nullspace`` and ``left_nullspace`` return those with it, so callers
-read coordinates off them without solving.  ``det`` is fraction-free
-Bareiss elimination.
+``nullspace``, ``nullspace_of_rows`` and ``left_nullspace`` return those
+with it, so callers read coordinates off them without solving.  ``det`` is
+fraction-free Bareiss elimination.
+
+A :class:`Matrix` has no item assignment: each builder fills fresh rows and
+wraps them, so a matrix shared through a memo cannot be changed by entry.
 """
 
 from __future__ import annotations
@@ -31,19 +34,19 @@ from math import gcd, lcm
 class Matrix:
     """An m x n matrix of exact scalars, held as a list of m rows.
 
-    Only what the package uses: ``a[i, j]`` reads and writes, block reads
+    Only what the package uses: ``a[i, j]`` reads, block reads
     ``a[r0:r1, c0:c1]``, ``@``, ``+``, ``-``, scalar ``*``, ``.T``, row-major
     ``reshape``, ``tolist``, ``flat`` and ``size``; no broadcasting,
-    list indexing or 1-d vectors.  Operations return new matrices; a write
-    to a :func:`frozen` one raises ``ValueError``.
+    list indexing or 1-d vectors.  Operations return new matrices, and
+    ``a[i, j] = x`` raises ``TypeError``: a matrix is a value, built whole
+    from its rows, that memoised answers share.
     """
 
-    __slots__ = ("rows", "shape", "read_only")
+    __slots__ = ("rows", "shape")
 
     def __init__(self, rows: list[list], n_cols: int):
         self.rows = rows
         self.shape = (len(rows), n_cols)
-        self.read_only = False
 
     @property
     def size(self) -> int:
@@ -66,14 +69,6 @@ class Matrix:
         if isinstance(i, slice) or isinstance(j, slice):
             raise TypeError("index a matrix with two ints or two slices")
         return self.rows[i][j]
-
-    def __setitem__(self, key, value) -> None:
-        if self.read_only:
-            raise ValueError("assignment to a read-only matrix")
-        i, j = key
-        if isinstance(i, slice) or isinstance(j, slice):
-            raise TypeError("assign a single entry a[i, j]")
-        self.rows[i][j] = value
 
     def __matmul__(self, other: Matrix) -> Matrix:
         (_, k), (k2, n) = self.shape, other.shape
@@ -131,12 +126,6 @@ def zeros(m: int, n: int) -> Matrix:
 
 def eye(n: int) -> Matrix:
     return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-
-def frozen(a: Matrix) -> Matrix:
-    """``a`` itself, made read-only: a matrix shared through a memo."""
-    a.read_only = True
-    return a
 
 
 def is_zero(a: Matrix) -> bool:
@@ -270,36 +259,15 @@ def rank(a: Matrix) -> int:
     return len(pivot_columns(a))
 
 
-def nullspace(a: Matrix) -> Matrix:
-    """Basis of the right kernel, returned as the columns of an n x k matrix."""
+def nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Basis of the right kernel as the columns of an n x k matrix, and its
+    free rows, where the basis is the identity."""
     return nullspace_of_rows(_rows_of(a), a.shape[1])
 
 
-def nullspace_of_rows(rows: list[dict], n: int) -> Matrix:
-    """Right kernel of the n-column matrix whose rows are given sparsely.
-
-    Each row is ``{col: value}``; absent columns are zero.  The basis is
-    the one :func:`nullspace` returns for the dense matrix, column by column.
-    """
-    return _kernel(rows, n)[0]
-
-
-def free_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
-    """:func:`nullspace` and its free rows, where the basis is the identity."""
-    return _kernel(_rows_of(a), a.shape[1])
-
-
-def left_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Basis of the left kernel as the rows of a k x m matrix K, K @ a = 0,
-    and its free columns, where K is the identity."""
-    m, n = a.shape
-    if n == 0:  # no columns: every row is free, nothing to eliminate
-        return eye(m), list(range(m))
-    basis, free = free_nullspace(a.T)
-    return basis.T, free
-
-
-def _kernel(rows: list[dict], n: int) -> tuple[Matrix, list[int]]:
+def nullspace_of_rows(rows: list[dict], n: int) -> tuple[Matrix, list[int]]:
+    """:func:`nullspace` of the n-column matrix whose rows are given
+    sparsely: each row is ``{col: value}``, and absent columns are zero."""
     pivots, done = _eliminate(rows)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -312,6 +280,16 @@ def _kernel(rows: list[dict], n: int) -> tuple[Matrix, list[int]]:
             if c != p:
                 basis.rows[p][k_of[c]] = -x
     return basis, free
+
+
+def left_nullspace(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Basis of the left kernel as the rows of a k x m matrix K, K @ a = 0,
+    and its free columns, where K is the identity."""
+    m, n = a.shape
+    if n == 0:  # no columns: every row is free, nothing to eliminate
+        return eye(m), list(range(m))
+    basis, free = nullspace(a.T)
+    return basis.T, free
 
 
 def columns(a: Matrix, cols: list[int]) -> Matrix:
@@ -441,5 +419,5 @@ def min_poly(a: Matrix) -> list[int | Fraction]:
         powers.append(powers[-1] @ a)
     stacked = Matrix([[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)],
                      n + 1)
-    basis, free = free_nullspace(stacked)
+    basis, free = nullspace(stacked)
     return [basis[i, 0] for i in range(free[0] + 1)]

@@ -15,6 +15,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
@@ -31,9 +32,10 @@ class Representation:
     """A right module: one vector space per vertex, one matrix per arrow.
 
     ``dims`` is the dimension vector (1-indexed vertices stored 0-indexed);
-    ``arrow_maps[name]`` has shape (dim target, dim source) and acts along the
-    arrow; an omitted arrow acts by zero, and a map under a name the algebra
-    lacks raises ``ValueError``.  Instances are immutable and interned by
+    ``arrow_maps``, a read-only mapping, holds under each arrow's name a
+    matrix of shape (dim target, dim source) acting along the arrow; an
+    omitted arrow acts by zero, and a map under a name the algebra lacks
+    raises ``ValueError``.  Instances are immutable and interned by
     value: building a representation whose dims and arrow matrices equal those
     of one already built over the same algebra returns that object, so equal
     values are the same object and every memo, keyed by the object itself,
@@ -71,9 +73,9 @@ class Representation:
             rep.dims = dims
             # integral entries are stored as ints; equal values hash alike,
             # so the key above still finds this object
-            rep.arrow_maps = {name: linalg.frozen(linalg.Matrix(
+            rep.arrow_maps = MappingProxyType({name: linalg.Matrix(
                 [[x.numerator if x.denominator == 1 else x for x in row] for row in m.rows],
-                m.shape[1])) for name, m in maps.items()}
+                m.shape[1]) for name, m in maps.items()})
             rep._uid = next(_uid_counter)  # a serial number; no memo keys by it
             if check:
                 rep._check_relations()
@@ -208,16 +210,13 @@ def projective(q: BoundQuiver, i: int) -> Representation:
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
     bases = {v: q.basis_by_pair.get((i, v), []) for v in range(1, q.n + 1)}
-    index = {v: {p: k for k, p in enumerate(bases[v])} for v in bases}
     dims = [len(bases[v]) for v in range(1, q.n + 1)]
     maps = {}
     for a in q.arrows:
-        m = linalg.zeros(dims[a.target - 1], dims[a.source - 1])
-        for col, p in enumerate(bases[a.source]):
-            nf = q.normal_form((p[0], p[1] + (a.name,)))
-            for r_path, c in nf.items():
-                m[index[a.target][r_path], col] = c
-        maps[a.name] = m
+        # column p is the normal form of p*a, a combination of paths i ~> target
+        nfs = [q.normal_form((p[0], p[1] + (a.name,))) for p in bases[a.source]]
+        maps[a.name] = linalg.Matrix([[nf.get(r_path, 0) for nf in nfs]
+                                      for r_path in bases[a.target]], dims[a.source - 1])
     return Representation(q, dims, maps)
 
 
@@ -227,21 +226,15 @@ def injective(q: BoundQuiver, i: int) -> Representation:
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
     bases = {v: q.basis_by_pair.get((v, i), []) for v in range(1, q.n + 1)}
-    index = {v: {p: k for k, p in enumerate(bases[v])} for v in bases}
     dims = [len(bases[v]) for v in range(1, q.n + 1)]
     maps = {}
     for a in q.arrows:
         u, v = a.source, a.target
-        m = linalg.zeros(dims[v - 1], dims[u - 1])
         # dual basis element of a path p: u ~> i goes to sum over x: v ~> i of
         # (coefficient of p in a*x) times the dual of x
-        for row, x in enumerate(bases[v]):
-            nf = q.normal_form((u, (a.name,) + x[1]))
-            for p, c in nf.items():
-                col = index[u].get(p)
-                if col is not None:
-                    m[row, col] = c
-        maps[a.name] = m
+        nfs = [q.normal_form((u, (a.name,) + x[1])) for x in bases[v]]
+        maps[a.name] = linalg.Matrix([[nf.get(p, 0) for p in bases[u]] for nf in nfs],
+                                     dims[u - 1])
     return Representation(q, dims, maps)
 
 
@@ -261,11 +254,11 @@ def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:
 # ----------------------------------------------------------------------
 
 @memoised
-def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
+def hom_basis(m: Representation, n: Representation) -> tuple[ModuleMap, ...]:
     """A basis of Hom(M, N), solved from the exact intertwiner equations.
 
-    Memoised per (M, N); the list and its read-only vertex matrices are
-    shared by every caller, so they must not be modified."""
+    Memoised per (M, N); the tuple and its vertex matrices are shared by
+    every caller, and neither can be written to."""
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     q = m.algebra
@@ -276,7 +269,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
     if total == 0:
-        return []
+        return ()
     rows = []  # one sparse {unknown: coefficient} row per entry of N_a X_i - X_j M_a
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
@@ -298,13 +291,13 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
                         del row[base + k]
                 if row:
                     rows.append(row)
-    basis_cols = linalg.nullspace_of_rows(rows, total)
+    basis_cols = linalg.nullspace_of_rows(rows, total)[0]
     out = []
     for b in range(basis_cols.shape[1]):
-        vm = [linalg.frozen(basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b:b + 1]
-                            .reshape(n.dims[v], m.dims[v])) for v in range(nv)]
+        vm = [basis_cols[offsets[v]:offsets[v] + n.dims[v] * m.dims[v], b:b + 1]
+              .reshape(n.dims[v], m.dims[v]) for v in range(nv)]
         out.append(ModuleMap(m, n, vm, check=False))
-    return out
+    return tuple(out)
 
 
 @memoised
@@ -346,7 +339,7 @@ def _cut_out(ambient: Representation, cuts) -> tuple[Representation, ModuleMap]:
     arrow, the X with ``K_j X = M_a K_i``, is those rows of ``M_a K_i``.
     Raises ValueError unless the kernels are closed under the arrow action."""
     q = ambient.algebra
-    bases, free = zip(*map(linalg.free_nullspace, cuts))
+    bases, free = zip(*map(linalg.nullspace, cuts))
     maps = {}
     for a in q.arrows:
         i, j = a.source - 1, a.target - 1
@@ -403,11 +396,11 @@ def trace(n: Representation, x: Representation) -> tuple[Representation, ModuleM
 
 @memoised
 def _trace_spans(part: Representation, x: Representation) -> tuple[linalg.Matrix, ...]:
-    """Per vertex, a read-only column basis of the trace of ``part`` in X: the
-    span of the images of the cached Hom(part, X) basis."""
+    """Per vertex, a column basis of the trace of ``part`` in X: the span of
+    the images of the cached Hom(part, X) basis."""
     maps = hom_basis(part, x)
-    return tuple(linalg.frozen(linalg.column_space(
-        linalg.hstack([f.vertex_maps[v] for f in maps], d))) for v, d in enumerate(x.dims))
+    return tuple(linalg.column_space(linalg.hstack([f.vertex_maps[v] for f in maps], d))
+                 for v, d in enumerate(x.dims))
 
 
 def _trace_bases(parts: list[Representation], x: Representation):
@@ -636,7 +629,7 @@ def _minimal_approximation(x: Representation, n: list[Representation],
             continue
         radical = [after(g, h) for t in types if t is not u for g in hom(t, x) for h in hom(u, t)]
         radical += [after(f, r) for f in maps for r in end_radical_basis(u)]
-        cols = linalg.hstack([f.vectorize() for f in radical + maps], 0)
+        cols = linalg.hstack([f.vectorize() for f in (*radical, *maps)], 0)
         copies += [(u, maps[p - len(radical)])
                    for p in linalg.pivot_columns(cols) if p >= len(radical)]
     q = x.algebra
@@ -697,7 +690,7 @@ def _fitting_split(m: Representation, phi: ModuleMap) -> list[Representation] | 
     return None
 
 
-def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.Matrix]:
+def _end_structure(endos: tuple[ModuleMap, ...]) -> tuple[list[linalg.Matrix], linalg.Matrix]:
     """Left-multiplication matrices of the endomorphism algebra and the
     coordinates of its radical (trace-form nullspace; valid in char 0)."""
     d = len(endos)
@@ -711,11 +704,9 @@ def _end_structure(endos: list[ModuleMap]) -> tuple[list[linalg.Matrix], linalg.
         structure.append(coords)  # structure[i][:, j] = coords of e_i . e_j
     # tr L(e_i e_j) = sum_k structure[i][k, j] tr L(e_k)
     traces = [sum(lm[k, k] for k in range(d)) for lm in structure]
-    gram = linalg.zeros(d, d)
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = sum(structure[i][k, j] * traces[k] for k in range(d))
-    return structure, linalg.nullspace(gram)
+    gram = linalg.Matrix([[sum(lm[k, j] * traces[k] for k in range(d)) for j in range(d)]
+                          for lm in structure], d)
+    return structure, linalg.nullspace(gram)[0]
 
 
 def _combination(maps: list[ModuleMap], coefs) -> list[linalg.Matrix]:

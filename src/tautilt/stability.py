@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import memoised
@@ -86,18 +87,19 @@ def is_semistable_hom(x: Representation, rigid: TauPair) -> bool:
     return True
 
 
-def submodule_dim_vectors(x: Representation, p: int = 2) -> set[tuple[int, ...]]:
+def submodule_dim_vectors(x: Representation, p: int = 2) -> frozenset[tuple[int, ...]]:
     """Dimension vectors of all subrepresentations over the p-element field.
 
     The answer, or the reason the enumeration is over budget, is decided
     once per (module, prime) by :func:`_enumerate_submodule_dims` and
     memoised; an over-budget probe raises :class:`BudgetExceeded` from the
-    stored reason on every call without being enumerated again.
+    stored reason on every call without being enumerated again.  Every
+    caller gets the memo's own frozenset.
     """
     outcome = _enumerate_submodule_dims(x, p)
     if isinstance(outcome, str):
         raise BudgetExceeded(outcome)
-    return set(outcome)
+    return outcome
 
 
 def _insert(basis: dict[int, tuple[int, ...]], vec, p: int) -> tuple[int, ...] | None:
@@ -276,18 +278,12 @@ def _brick_from_local_module(y: Representation) -> Representation:
                                    for v, d in enumerate(y.dims)))[0]
 
 
-class BrickSlate:
+class BrickSlate(NamedTuple):
     """The bricks of a pair, one per slot, with the signs D of C = X D: X
     has the bricks' dimension vectors as its columns."""
-
-    def __init__(self, pair: TauPair, bricks: tuple[Representation, ...],
-                 d_diagonal: tuple[int, ...]):
-        self.pair = pair
-        self.bricks = bricks
-        self.d_diagonal = d_diagonal
-
-    def positive_slots(self) -> list[int]:
-        return [r for r, d in enumerate(self.d_diagonal) if d == 1]
+    pair: TauPair
+    bricks: tuple[Representation, ...]
+    d_diagonal: tuple[int, ...]
 
 
 def brick_slate(pair: TauPair, graph: ExchangeGraph) -> BrickSlate:
@@ -315,7 +311,7 @@ def brick_slate(pair: TauPair, graph: ExchangeGraph) -> BrickSlate:
 
 def b_plus(slate: BrickSlate) -> list[Representation]:
     """Bricks whose dimension vectors are (positive) columns of the C-matrix."""
-    return [slate.bricks[r] for r in slate.positive_slots()]
+    return [b for b, d in zip(slate.bricks, slate.d_diagonal) if d == 1]
 
 
 @memoised

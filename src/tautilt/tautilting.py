@@ -116,12 +116,14 @@ def _completes(almost: TauPair, new) -> bool:
     """Validity of the almost pair plus the summand ``new`` (a module, or a
     vertex j for the shifted projective P(j)): basic, rigid, and Hom(P, M) = 0.
     The almost pair is part of a valid pair, so only the conditions that
-    involve ``new`` are tested."""
+    involve ``new`` are tested.  The module parts of ``almost`` are registry
+    handles, and a module ``new`` is a handle or lies in no registered
+    class, so it repeats a summand exactly when it is one of them."""
     if isinstance(new, int):  # Hom(P(j), X) has dimension dim X_j
         return new not in almost.p_parts and not any(x.dims[new - 1] for x in almost.m_parts)
     if any(new.dims[j - 1] for j in almost.p_parts):
         return False
-    if any(is_isomorphic(new, x) for x in almost.m_parts):
+    if new in almost.m_parts:
         return False
     return hom_dim(new, new) == ar_pairing(new, new) and all(
         hom_dim(new, x) == ar_pairing(new, x) and hom_dim(x, new) == ar_pairing(x, new)
@@ -233,7 +235,9 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     before the candidate is validated, and a new class is registered once
     the candidate is valid.  The almost pair is part of the valid ``pair``,
     so a candidate is validated on the conditions that involve its new
-    summand only.
+    summand only.  A nonzero cokernel's summand always completes the almost
+    pair (Adachi-Iyama-Reiten, tau-tilting theory, Thm 2.30), so one that
+    does not raises :class:`TheoremViolationError`.
     """
     kind, payload = pair.slots()[r]
     if kind != "m":
@@ -254,10 +258,13 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
         known = registry.find(new_summand)
         if known is not None:
             new_summand = registry.reps[known]
-        if not is_isomorphic(new_summand, payload) and _completes(almost, new_summand):
-            if known is None:
-                registry.add(new_summand)
-            return TauPair(q, almost.m_parts + (new_summand,), almost.p_parts)
+        if new_summand is payload or not _completes(almost, new_summand):
+            raise TheoremViolationError(
+                f"exchange cokernel summand {new_summand.dim_label()} does not complete "
+                f"{almost.descriptor()} (from {pair.descriptor()} at slot {r})")
+        if known is None:
+            registry.add(new_summand)
+        return TauPair(q, almost.m_parts + (new_summand,), almost.p_parts)
     # support shrinks: the slot becomes a shifted projective
     candidates = [j for j in range(1, q.n + 1) if _completes(almost, j)]
     if len(candidates) != 1:
@@ -327,15 +334,16 @@ class ExchangeGraph:
     pair, and each edge by the almost pair that its source minus its slot is
     (the edge joins that almost pair's two completions, Fac-larger first).
     Node parts are registry handles, and a lookup maps a pair onto handles
-    first.  Graphs compare and hash by identity, so a graph keys the memo
-    of its per-node answers."""
+    first.  ``nodes`` and ``edges`` are tuples; the registry alone grows,
+    append-only.  Graphs compare and hash by identity, so a graph keys the
+    memo of its per-node answers."""
 
-    def __init__(self, algebra: BoundQuiver, nodes: list[TauPair], edges: list[Edge],
+    def __init__(self, algebra: BoundQuiver, nodes, edges,
                  complete: bool, registry: ModuleRegistry,
                  max_nodes: int = DEFAULT_MAX_NODES, max_dim: int = DEFAULT_MAX_DIM):
         self.algebra = algebra
-        self.nodes = nodes
-        self.edges = edges
+        self.nodes: tuple[TauPair, ...] = tuple(nodes)
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self.complete = complete
         self.registry = registry
         self.max_nodes = max_nodes

@@ -423,6 +423,19 @@ def test_engine_error_exits_with_one_line(a3_rel_file, capsys, monkeypatch,
     assert err == "error: planted failure\n" and "Traceback" not in err
 
 
+def test_rejected_exchange_summand_exits_with_violation(a3_rel_file, capsys, monkeypatch):
+    # a nonzero exchange cokernel's summand always completes the almost pair
+    # (Adachi-Iyama-Reiten, Thm 2.30), so a rejected one is a theorem
+    # violation, never a fall-through to the shifted-projective search
+    from tautilt import tautilting
+    completes = tautilting._completes
+    monkeypatch.setattr(tautilting, "_completes",
+                        lambda almost, new: isinstance(new, int) and completes(almost, new))
+    code, out, err = run_cli_err([a3_rel_file, "enumerate"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: exchange cokernel summand") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("workload", ["preproj_a3", "a5"])
 def test_verify_output_independent_of_warm_memo(workload, capsys):
     # fan fills the wall memo first, and a second verify finds every wall

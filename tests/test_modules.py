@@ -544,7 +544,7 @@ def _reference_tau(m):
     tgt_parts = [injective(q, t) for t in pres.p0_vertices]
     src, tgt = direct_sum(q, src_parts), direct_sum(q, tgt_parts)
     src_at, tgt_at = modules._block_offsets(src_parts), modules._block_offsets(tgt_parts)
-    vm = [linalg.zeros(tgt.dims[v], src.dims[v]) for v in range(q.n)]
+    vm = [[[0] * src.dims[v] for _ in range(tgt.dims[v])] for v in range(q.n)]
     for r, t in enumerate(pres.p0_vertices):
         for c, s in enumerate(pres.p1_vertices):
             triv = q.basis_by_pair[(s, s)].index(q.trivial_path(s))
@@ -559,8 +559,9 @@ def _reference_tau(m):
                     for p, c2 in q.compose_combo({x: Fraction(1)}, combo).items():
                         col = src_index.get(p)
                         if col is not None:
-                            vm[v - 1][tgt_at[r][v - 1] + row, src_at[c][v - 1] + col] += c2
-    return kernel(ModuleMap(src, tgt, vm))[0]
+                            vm[v - 1][tgt_at[r][v - 1] + row][src_at[c][v - 1] + col] += c2
+    return kernel(ModuleMap(src, tgt, [linalg.Matrix(rows, src.dims[v])
+                                       for v, rows in enumerate(vm)]))[0]
 
 
 def _tau_corpus_graphs():
@@ -712,10 +713,10 @@ def test_memoised_trace_spans_are_read_only(a3_rel):
     p1 = projective(a3_rel, 1)
     spans = _trace_spans(projective(a3_rel, 2), p1)
     assert [b.shape[1] for b in spans] == [0, 1, 0]
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         spans[1][0, 0] = 7
     (only,) = [b for b in _trace_bases([projective(a3_rel, 2)], p1) if b.shape[1]]
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         only[0, 0] = 7
 
 
@@ -1023,7 +1024,7 @@ def test_interned_arrow_maps_are_not_the_callers():
     q = parse_algebra(A3_REL_TEXT)
     a = mat([[1]])
     rep = Representation(q, (1, 1, 0), {"a": a})
-    a[0, 0] = 5  # the caller keeps a writeable matrix of its own
+    a.rows[0][0] = 5  # the caller keeps rows of its own
     assert rep.arrow_maps["a"][0, 0] == 1
     assert Representation(q, (1, 1, 0), {"a": mat([[1]])}) is rep
 
@@ -1082,7 +1083,7 @@ def test_repeated_decompose_reuses_its_answer(monkeypatch):
 
 def test_cached_hom_basis_matrices_are_read_only(a3_rel):
     (f,) = hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         f.vertex_maps[1][0, 0] = 7
     assert hom_basis(projective(a3_rel, 2), projective(a3_rel, 1))[0].vertex_maps[1][0, 0] == 1
 

@@ -21,6 +21,7 @@ from tautilt.modules import (
     hom_basis,
     hom_dim,
     is_isomorphic,
+    minimal_projective_presentation,
     projective,
     sub_from_bases,
     tau,
@@ -164,8 +165,9 @@ def test_submodules_warm_cache_agrees_with_cold():
     # the map 2 vanishes over GF(2) only: one probe, two different answers
     assert submodule_dim_vectors(probes[-1], 2) == {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
     assert submodule_dim_vectors(probes[-1], 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
-    # a caller mutating an answer does not mutate the memo
-    submodule_dim_vectors(probes[-1], 3).clear()
+    # the shared answer is a frozenset: no caller can mutate the memo
+    with pytest.raises(AttributeError):
+        submodule_dim_vectors(probes[-1], 3).clear()
     assert submodule_dim_vectors(probes[-1], 3) == {(0, 0, 0), (0, 1, 0), (1, 1, 0)}
 
 
@@ -752,3 +754,35 @@ def test_planted_torsion_step_error_breaks_facm(monkeypatch):
     witnesses = [w for r in reports for w in r["witnesses"]]
     assert witnesses and all(w["check"] == "facm_equality" and w["fac"] is False
                              and w["torsion"] is True for w in witnesses)
+
+
+def test_shared_answers_are_immutable_by_type(a3_rel_graph):
+    # the memo hands every caller one answer, so no caller can write to it:
+    # matrices have no item assignment, and containers are tuples,
+    # NamedTuples, frozensets and read-only mappings
+    q = a3_rel_graph.algebra
+    for m in a3_rel_graph.registry.reps:
+        pres = minimal_projective_presentation(m)
+        for f in (pres.map, pres.cover, pres.omega_incl):
+            for vm in f.vertex_maps:
+                with pytest.raises(TypeError):
+                    vm[0, 0] = 7
+        for name in m.arrow_maps:
+            with pytest.raises(TypeError):
+                m.arrow_maps[name] = linalg.zeros(*m.arrow_maps[name].shape)
+            with pytest.raises(TypeError):
+                m.arrow_maps[name][0, 0] = 7
+    basis = hom_basis(projective(q, 2), projective(q, 1))
+    assert not hasattr(basis, "append")
+    with pytest.raises(TypeError):
+        basis[0] = basis[0]
+    slate = slate_for_node(a3_rel_graph, 0)
+    with pytest.raises(TypeError):
+        slate.bricks[0] = slate.bricks[1]
+    with pytest.raises(AttributeError):
+        slate.bricks = ()
+    with pytest.raises(TypeError):
+        a3_rel_graph.nodes[0] = a3_rel_graph.nodes[1]
+    assert not hasattr(a3_rel_graph.nodes, "append")
+    assert not hasattr(a3_rel_graph.edges, "append")
+    assert not hasattr(submodule_dim_vectors(projective(q, 1), 2), "add")
