@@ -2,10 +2,12 @@
 
     tautilt <file> info|enumerate|verify|fan|graph [options]
 
-Exit codes: 0 success, 1 input error, 2 enumeration truncated (or a fan
-wall over the brute-force oracle's budget, or a module the decomposition
-cannot split), 3 a theorem violation (a failed `verify` check, or an
-identity the engine asserts while it computes).
+``main`` alone turns a run into an exit code.  It enumerates once for every
+command but ``info`` and passes the graph to the handler, which writes the
+output and returns whether its checks passed.  Exit codes: 0 success, 1 input
+error, 2 a limit cut the run short (a truncated graph, the oracle's budget, a
+module decomposition cannot split), 3 a failed check or a theorem violation;
+each error prints one ``error: …`` line.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _fmt_vecs(vecs) -> str:
     return " ".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs) or "-"
 
 
-def cmd_info(q, args) -> int:
+def cmd_info(q, graph, args) -> bool:
     lines = [f"algebra {q.fingerprint()}",
              f"vertices {q.n}",
              f"dim {q.dimension}",
@@ -141,11 +143,10 @@ def cmd_info(q, args) -> int:
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     else:
         _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return True
 
 
-def cmd_enumerate(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
+def cmd_enumerate(q, graph, args) -> bool:
     if args.format == "json":
         payload = {
             "algebra": q.fingerprint(),
@@ -177,15 +178,14 @@ def cmd_enumerate(q, args) -> int:
                 gens_str,
             ]))
         _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if graph.complete else EXIT_TRUNCATED
+    return True
 
 
-def cmd_verify(q, args) -> int:
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
+def cmd_verify(q, graph, args) -> bool:
     if not graph.complete:
         _emit(json.dumps({"error": "graph truncated; cannot verify"},
                          sort_keys=True) + "\n", args.output)
-        return EXIT_TRUNCATED
+        return True
     bricks = {}
     for i in range(len(graph.nodes)):  # registers every brick before probing
         slate = slate_for_node(graph, i)
@@ -211,46 +211,22 @@ def cmd_verify(q, args) -> int:
         "bricks": brick_reports,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
-    return EXIT_OK if all_pass else EXIT_VIOLATION
+    return all_pass
 
 
-def cmd_fan(q, args) -> int:
+def cmd_fan(q, graph, args) -> bool:
     # imported here and in cmd_graph, its only users, so the other commands never load it
     from .wallchamber import build_fan, emit_fan_json, emit_svg_stereographic
-    fmt = args.format or "json"
-    if fmt == "svg" and q.n != 3:
-        sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
-        return EXIT_INPUT
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
-    try:
-        fan = build_fan(graph, prime=args.prime)
-    except EnumerationError as exc:
-        if graph.complete:
-            raise
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_TRUNCATED
-    except BudgetExceeded as exc:  # a wall's facets need the oracle
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_TRUNCATED
-    if fmt == "svg":
-        _emit(emit_svg_stereographic(fan), args.output)
-    else:
-        _emit(emit_fan_json(fan), args.output)
-    return EXIT_OK if graph.complete else EXIT_TRUNCATED
+    fan = build_fan(graph, prime=args.prime)
+    emit = emit_svg_stereographic if args.format == "svg" else emit_fan_json
+    _emit(emit(fan), args.output)
+    return True
 
 
-def cmd_graph(q, args) -> int:
+def cmd_graph(q, graph, args) -> bool:
     from .wallchamber import emit_dot
-    graph = enumerate_exchange_graph(q, args.max_nodes, args.max_dim)
-    try:
-        dot = emit_dot(graph)
-    except EnumerationError as exc:
-        if graph.complete:
-            raise
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_TRUNCATED
-    _emit(dot, args.output)
-    return EXIT_OK if graph.complete else EXIT_TRUNCATED
+    _emit(emit_dot(graph), args.output)
+    return True
 
 
 def main(argv=None) -> int:
@@ -278,19 +254,28 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    if args.format == "svg" and q.n != 3:
+        sys.stderr.write("error: SVG emission needs a rank-3 algebra\n")
+        return EXIT_INPUT
     handler = {"info": cmd_info, "enumerate": cmd_enumerate, "verify": cmd_verify,
                "fan": cmd_fan, "graph": cmd_graph}[args.command]
     try:
-        return handler(q, args)
+        graph = (None if args.command == "info"
+                 else enumerate_exchange_graph(q, args.max_nodes, args.max_dim))
+        passed = handler(q, graph, args)
     except _WriteError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except DecompositionError as exc:  # a documented engine limit, like the budget
+    # documented limits that cut the run short, like --max-nodes
+    except (DecompositionError, EnumerationError, BudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TRUNCATED
     except TheoremViolationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
+    if not passed:
+        return EXIT_VIOLATION
+    return EXIT_TRUNCATED if graph is not None and not graph.complete else EXIT_OK
 
 
 if __name__ == "__main__":

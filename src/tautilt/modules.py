@@ -206,7 +206,9 @@ def zero_rep(q: BoundQuiver) -> Representation:
 
 @memoised
 def projective(q: BoundQuiver, i: int) -> Representation:
-    """Indecomposable projective at vertex i, spanned by basis paths starting at i."""
+    """Indecomposable projective at vertex i, spanned by basis paths starting
+    at i.  Its maps are normal forms of a confluent presentation, so it is a
+    module by construction and its relations go unchecked."""
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
     bases = {v: q.basis_by_pair.get((i, v), []) for v in range(1, q.n + 1)}
@@ -217,12 +219,13 @@ def projective(q: BoundQuiver, i: int) -> Representation:
         nfs = [q.normal_form((p[0], p[1] + (a.name,))) for p in bases[a.source]]
         maps[a.name] = linalg.Matrix([[nf.get(r_path, 0) for nf in nfs]
                                       for r_path in bases[a.target]], dims[a.source - 1])
-    return Representation(q, dims, maps)
+    return Representation(q, dims, maps, check=False)
 
 
 @memoised
 def injective(q: BoundQuiver, i: int) -> Representation:
-    """Indecomposable injective at vertex i, dual to paths ending at i."""
+    """Indecomposable injective at vertex i, dual to paths ending at i; a
+    module by construction, as :func:`projective` is."""
     if not 1 <= i <= q.n:
         raise ValueError(f"vertex {i} out of range")
     bases = {v: q.basis_by_pair.get((v, i), []) for v in range(1, q.n + 1)}
@@ -235,7 +238,7 @@ def injective(q: BoundQuiver, i: int) -> Representation:
         nfs = [q.normal_form((u, (a.name,) + x[1])) for x in bases[v]]
         maps[a.name] = linalg.Matrix([[nf.get(p, 0) for p in bases[u]] for nf in nfs],
                                      dims[u - 1])
-    return Representation(q, dims, maps)
+    return Representation(q, dims, maps, check=False)
 
 
 def direct_sum(q: BoundQuiver, reps: list[Representation]) -> Representation:

@@ -220,7 +220,10 @@ def brick_of_slot(pair: TauPair, r: int, graph: ExchangeGraph) -> Representation
     if slot_mutates_down(pair, r):
         exchanged = pair.slots()[r][1]
     else:
-        e = graph.completion_edge(almost)
+        try:
+            e = graph.completion_edge(almost)
+        except KeyError as exc:  # a complete graph is n-regular, so no node's wall lacks its edge
+            raise TheoremViolationError(exc.args[0]) from exc
         exchanged = graph.nodes[e.src].slots()[e.slot][1]
     return _wall_brick(exchanged, almost)
 

@@ -31,7 +31,7 @@ from .modules import (
 
 
 class EnumerationError(RuntimeError):
-    """Mutation or enumeration reached a state the theory forbids."""
+    """A truncated exchange graph cannot answer: what it lacks may lie past its limits."""
 
 
 class TheoremViolationError(RuntimeError):
@@ -236,8 +236,9 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     the candidate is valid.  The almost pair is part of the valid ``pair``,
     so a candidate is validated on the conditions that involve its new
     summand only.  A nonzero cokernel's summand always completes the almost
-    pair (Adachi-Iyama-Reiten, tau-tilting theory, Thm 2.30), so one that
-    does not raises :class:`TheoremViolationError`.
+    pair (Adachi-Iyama-Reiten, tau-tilting theory, Thm 2.30), and a zero
+    one leaves exactly one shifted projective that does (Thm 2.18), so any
+    other state raises :class:`TheoremViolationError`.
     """
     kind, payload = pair.slots()[r]
     if kind != "m":
@@ -252,7 +253,7 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
             raise _DimLimit(coker.total_dim)
         summands = decompose(coker)
         if len(summands) != 1:
-            raise EnumerationError(
+            raise TheoremViolationError(
                 f"exchange cokernel splits into {len(summands)} distinct classes")
         new_summand = summands[0][0]
         known = registry.find(new_summand)
@@ -268,7 +269,7 @@ def mutate_down(pair: TauPair, r: int, max_dim: int, registry: ModuleRegistry) -
     # support shrinks: the slot becomes a shifted projective
     candidates = [j for j in range(1, q.n + 1) if _completes(almost, j)]
     if len(candidates) != 1:
-        raise EnumerationError(
+        raise TheoremViolationError(
             f"expected exactly one completion, found {len(candidates)} "
             f"for {pair.descriptor()} at slot {r}")
     return TauPair(q, almost.m_parts, almost.p_parts + (candidates[0],))
@@ -339,8 +340,7 @@ class ExchangeGraph:
     memo of its per-node answers."""
 
     def __init__(self, algebra: BoundQuiver, nodes, edges,
-                 complete: bool, registry: ModuleRegistry,
-                 max_nodes: int = DEFAULT_MAX_NODES, max_dim: int = DEFAULT_MAX_DIM):
+                 complete: bool, registry: ModuleRegistry, max_nodes: int, max_dim: int):
         self.algebra = algebra
         self.nodes: tuple[TauPair, ...] = tuple(nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
@@ -375,13 +375,15 @@ class ExchangeGraph:
         return idx
 
     def completion_edge(self, almost: TauPair) -> Edge:
-        """The edge joining the two completions of an almost pair."""
+        """The edge joining the two completions of an almost pair; without
+        one, a truncated graph raises EnumerationError and a complete one KeyError."""
         e = self._edge_of.get(self._key(almost))
         if e is None:
-            detail = "truncated graph" if not self.complete else "internal error"
+            if self.complete:
+                raise KeyError(f"almost pair {almost.descriptor()} is not an edge of this graph")
             raise EnumerationError(
                 f"the two completions of {almost.descriptor()} are not both in the "
-                f"graph ({detail}; limits max_nodes={self.max_nodes}, "
+                f"graph (truncated graph; limits max_nodes={self.max_nodes}, "
                 f"max_dim={self.max_dim})")
         return e
 
@@ -449,8 +451,8 @@ def _node_sort_key(pair: TauPair):
 def complete_almost_pair(almost: TauPair, graph: ExchangeGraph) -> tuple[TauPair, TauPair]:
     """The two tau-tilting completions of an almost pair, Fac-larger first.
 
-    Read off the edge that joins them in the exchange graph; a truncated
-    graph that does not exhibit both completions raises EnumerationError.
+    Read off the edge that joins them in the exchange graph, so a missing
+    edge raises as :meth:`ExchangeGraph.completion_edge` does.
     """
     if not almost.is_almost_tilting():
         raise ValueError("input must have exactly n - 1 summands")

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import A3_REL_TEXT, LOOP_TEXT
 
-from tautilt import modules
+from tautilt import modules, tautilting
 from tautilt.cli import main
 from tautilt.modules import DecompositionError
 from tautilt.tautilting import TheoremViolationError
@@ -436,20 +436,59 @@ def test_rejected_exchange_summand_exits_with_violation(a3_rel_file, capsys, mon
     assert err.startswith("error: exchange cokernel summand") and "Traceback" not in err
 
 
+def _completes_only(accepted):
+    """``_completes`` with its shifted-projective answers replaced by ``accepted``."""
+    completes = tautilting._completes
+    return lambda almost, new: new in accepted if isinstance(new, int) else completes(almost, new)
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("decompose", lambda m: [(m, 1), (m, 1)], "exchange cokernel splits into 2 distinct classes\n"),
+    ("_completes", _completes_only(()), "expected exactly one completion, found 0 "),
+    ("_completes", _completes_only((1, 2)), "expected exactly one completion, found 2 "),
+], ids=["split_cokernel", "no_shifted_projective", "two_shifted_projectives"])
+def test_ruled_out_mutation_exits_with_violation(a3_rel_file, capsys, monkeypatch,
+                                                 name, fake, message):
+    # a nonzero exchange cokernel is a power of one indecomposable (Thm 2.30),
+    # and a zero one leaves exactly one shifted projective to complete the
+    # almost pair (Thm 2.18): any other state is a theorem violation
+    monkeypatch.setattr(tautilting, name, fake)
+    code, out, err = run_cli_err([a3_rel_file, "enumerate"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_missing_edge_of_complete_graph_exits_with_violation(a3_rel_file, capsys,
+                                                             monkeypatch):
+    # a complete graph is n-regular, so a node's wall without its edge is a
+    # theorem violation when a brick is extracted
+    from tautilt.tautilting import ExchangeGraph
+
+    def no_edge(graph, almost):
+        raise KeyError(f"almost pair {almost.descriptor()} is not an edge of this graph")
+    monkeypatch.setattr(ExchangeGraph, "completion_edge", no_edge)
+    code, out, err = run_cli_err([a3_rel_file, "verify"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: almost pair ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("workload", ["preproj_a3", "a5"])
 def test_verify_output_independent_of_warm_memo(workload, capsys):
     # fan fills the wall memo first, and a second verify finds every wall
     # and torsion step answered: both print the bytes of a cold verify
     from tautilt.algebra import parse_algebra
     from tautilt.cli import _build_parser, cmd_fan, cmd_verify
+    from tautilt.tautilting import enumerate_exchange_graph
     path = str(WORKLOADS / f"{workload}.alg")
-    cold = run_cli([path, "verify"], capsys)
+    code, cold = run_cli([path, "verify"], capsys)
+    assert code == 0
     q = parse_algebra(Path(path).read_text())
-    assert cmd_fan(q, _build_parser().parse_args([path, "fan"])) == 0
+    graph = enumerate_exchange_graph(q)
+    assert cmd_fan(q, graph, _build_parser().parse_args([path, "fan"]))
     capsys.readouterr()
     args = _build_parser().parse_args([path, "verify"])
     for _ in range(2):
-        assert (cmd_verify(q, args), capsys.readouterr().out) == cold
+        assert (cmd_verify(q, graph, args), capsys.readouterr().out) == (True, cold)
 
 
 def test_verify_reuses_quotients(monkeypatch, capsys):

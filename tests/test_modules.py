@@ -64,6 +64,16 @@ from reference import mat, radical, rep_from_literal, rep_to_literal, simple, to
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
+@pytest.mark.parametrize("path", sorted([*(WORKLOADS.parent.parent / "algebras").glob("*.alg"),
+                                         *WORKLOADS.glob("*.alg")]), ids=lambda p: p.stem)
+def test_projectives_and_injectives_satisfy_the_relations(path):
+    # both are built unchecked, as modules by construction; check that here
+    q = parse_algebra(path.read_text())
+    for i in range(1, q.n + 1):
+        projective(q, i)._check_relations()
+        injective(q, i)._check_relations()
+
+
 # ----------------------------------------------------------------------
 # hom spaces
 # ----------------------------------------------------------------------

@@ -35,12 +35,16 @@ print(json.dumps(steps))
 """
 
 
-def _loaded_after(*commands):
+def _run_script(script, *argv, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _LOADED, str(ROOT / "algebras" / "a3_rel.alg"),
-                          *commands], env=env, capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def _loaded_after(*commands):
+    return json.loads(_run_script(_LOADED, str(ROOT / "algebras" / "a3_rel.alg"),
+                                  *commands).stdout)
 
 
 def test_import_loads_only_the_parser():
@@ -49,6 +53,24 @@ def test_import_loads_only_the_parser():
     assert "tautilt.cli" in cli and "tautilt.wallchamber" not in cli
     for loaded in after:
         assert "tautilt.wallchamber" not in loaded
+
+
+_SVG_RANK = """\
+import sys
+from tautilt import cli
+def no_enumeration(*args):
+    raise AssertionError("enumerated before the rank check")
+cli.enumerate_exchange_graph = no_enumeration
+assert cli.main([sys.argv[1], "fan", "--format", "svg"]) == 1
+assert "tautilt.wallchamber" not in sys.modules
+"""
+
+
+def test_svg_rank_refusal_enumerates_nothing_and_loads_no_wallchamber():
+    # main refuses SVG below rank 3 before it enumerates or fan imports the emitters
+    run = _run_script(_SVG_RANK, str(ROOT / "algebras" / "a2.alg"), check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "error: SVG emission needs a rank-3 algebra\n"
 
 
 @pytest.mark.parametrize("command", ["fan", "graph"])

@@ -240,7 +240,8 @@ def test_graph_lookups_leave_registry_unchanged(a3_rel, a3_rel_graph):
     with pytest.raises(KeyError):
         a3_rel_graph.node_index(TauPair(a3_rel, (doubled, p2, p3), ()))
     assert len(registry.reps) == before
-    with pytest.raises(EnumerationError):
+    # the graph is complete, so a foreign almost pair is a lookup miss, not a truncation
+    with pytest.raises(KeyError):
         complete_almost_pair(TauPair(a3_rel, (doubled, p2), ()), graph=a3_rel_graph)
     assert len(registry.reps) == before
 
